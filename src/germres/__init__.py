@@ -41,7 +41,6 @@ from .residues import (
 )
 from .normal_form import ReductionTrace, ResidueReport, reduce_field, reduce_germ, tangency_order
 from .flows import (
-    FlowElement,
     field_to_germ,
     flow_in_G,
     germ_to_field,

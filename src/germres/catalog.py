@@ -30,7 +30,7 @@ import numpy as np
 
 from .jets import Jet
 from .normal_form import tangency_order
-from .numerics import DomainError, GermSpec, NumericField, field_from_coeffs, szekeres_field
+from .numerics import DomainError, GermSpec, NumericField, _horner, field_from_coeffs, szekeres_field
 
 
 def _quadratic_jet(order: int) -> Jet:
@@ -176,25 +176,11 @@ def germ_from_jet(jet: Jet, x_max: float = 0.4, name: str = "",
     fl = [float(jet[n]) for n in range(1, jet.order + 1)]
 
     if func is None:
-        def func(x, _fl=tuple(fl)):
-            acc = 0.0
-            for c in reversed(_fl):
-                acc = acc * x + c
-            return acc * x
-
+        func = _horner([-0.0] + fl)  # (...) * x
     if deriv is None:
-        def deriv(x, _fl=tuple(fl)):
-            acc = 0.0
-            for n in range(len(_fl), 0, -1):
-                acc = acc * x + n * _fl[n - 1]
-            return acc
-
+        deriv = _horner([n * c for n, c in enumerate(fl, start=1)])
     if increment is None:
-        def increment(x, _tail=tuple(fl[1:])):
-            acc = 0.0
-            for c in reversed(_tail):
-                acc = acc * x + c
-            return acc * x * x
+        increment = _horner([-0.0, -0.0] + fl[1:])  # (...) * x * x
 
     contracting = lead < 0
     for x in np.geomspace(1e-6, x_max, 25):

@@ -314,25 +314,12 @@ def _cmd_conjugate(args):
 def _cmd_contour(args):
     if args.poly:
         coeffs = [complex(float(Fraction(part)), 0.0) for part in args.poly.split(",")]
-
-        def f(z):
-            acc = 0j
-            for c in reversed(coeffs):
-                acc = acc * z + c
-            return acc * z
-
     elif args.jet:
         jet = jet_from_json(args.jet)
-        floats = [float(jet[n]) for n in range(1, jet.order + 1)]
-
-        def f(z):
-            acc = 0j
-            for c in reversed(floats):
-                acc = acc * z + c
-            return acc * z
-
+        coeffs = [float(jet[n]) for n in range(1, jet.order + 1)]
     else:
         raise ValueError("need --poly or --jet")
+    f = numerics._horner([-0j] + coeffs)  # (...) * z
     value = numerics.contour_residue(f, args.radius, args.points)
     doc = {
         "inputs": _inputs_echo(args, ["poly", "jet", "radius", "points"]),

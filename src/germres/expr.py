@@ -36,6 +36,10 @@ class NotASeries(ValueError):
 
 _TOKEN_CHARS = {"+", "-", "*", "/", "^", "(", ")"}
 
+# Parentheses plus unary minus.  Each level costs the recursive descent up
+# to five frames, so this keeps deep input far from the recursion limit.
+_MAX_NESTING = 100
+
 
 def _tokenize(text):
     tokens = []
@@ -84,6 +88,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -94,6 +99,15 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         self.pos += 1
         return tok
+
+    def nested(self, parse, tok):
+        """``parse()`` one level deeper than ``tok``, within _MAX_NESTING."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", tok[2])
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -120,8 +134,8 @@ class _Parser:
 
     def factor(self):
         if self.peek()[0] == "-":
-            self.take()
-            return ("neg", self.factor())
+            tok = self.take()
+            return ("neg", self.nested(self.factor, tok))
         return self.power()
 
     def power(self):
@@ -148,13 +162,12 @@ class _Parser:
             return ("x",)
         if tok[0] == "log":
             self.take()
-            self.take("(")
-            arg = self.expr()
+            arg = self.nested(self.expr, self.take("("))
             self.take(")")
             return ("log", arg)
         if tok[0] == "(":
             self.take()
-            node = self.expr()
+            node = self.nested(self.expr, tok)
             self.take(")")
             return node
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])

@@ -1,35 +1,41 @@
 """Flows in truncated composition groups and the germ/field correspondence.
 
-In the group of order-(2*ell+1) jets, an exactly ell-tangent element
+One formal log/exp pair carries the whole module.  For a field jet X of
+order K, the time-t map of dx/dt = X(x) is the Lie series
 
-    f = x + sum_{n=ell+1}^{2ell+1} a_n x^n
+    exp(t X) = sum_k t^k/k! L_X^k(x),    L_X g = X * g',
 
-embeds in a one-parameter flow given in closed form by
+and for an exactly ell-tangent germ f the generator is the formal log
 
-    f^t = x + sum_{n=ell+1}^{2ell} t a_n x^n
-            + [ (ell+1)/2 * (t a_{ell+1})^2 - t * resad(f, ell) ] x^{2ell+1}.
+    log f = sum_k (-1)^(k+1)/k (T_f - I)^k(x),    T_f g = g o f,
 
-The coefficient squared in the bracket is a_{ell+1} (the leading
-higher-order coefficient): only that reading makes the time-1 element
-reproduce f and the map t -> f^t a homomorphism.
-
-The generator of the flow is the field jet
-
-    germ_to_field(f) = sum_{n=ell+1}^{2ell} a_n x^n - resad(f, ell) x^{2ell+1},
-
-and ``field_to_germ`` inverts the correspondence as the formal time-t map
-of dx/dt = X(x), computed by Picard iteration over coefficients that are
-exact polynomials in t (one sweep per retained order; the truncated
-problem is nilpotent, so the iteration stabilizes).
+taken on f truncated at order 2*ell+1.  Both series are finite: L_X and
+T_f - I raise the order of a series by at least 1 and by ell respectively,
+so the sums stop after at most K-1 and 2 terms.  ``flow_in_G`` is
+exp(t log f); it agrees with the closed-form flow stated in the README.
+``power`` is square-and-multiply over ``compose`` rather than
+exp(n log f), so it also takes integer-carrier jets and jets with
+a_1 != 1, which have no formal log.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
-from .jets import RATIONAL, CarrierMismatch, FieldJet, Jet, OrderError, compose, invert
-from .residues import TangencyError, resad
+from .jets import (
+    RATIONAL,
+    CarrierMismatch,
+    FieldJet,
+    Jet,
+    OrderError,
+    _dense,
+    _mul,
+    _subst,
+    compose,
+    invert,
+)
+from .residues import TangencyError
 from .normal_form import tangency_order
 
 
@@ -54,43 +60,22 @@ def flow_in_G(f: Jet, t) -> Jet:
     if f.carrier != RATIONAL:
         raise CarrierMismatch("flow_in_G needs the rational carrier")
     t = _as_fraction(t)
-    tc = tangency_order(f)
-    if not tc.exact:
-        raise TangencyError("flow generator must be exactly tangent at some order")
-    ell = tc.ell
-    K = 2 * ell + 1
-    if f.order < K:
-        raise OrderError(f"order {f.order} < {K}")
-    f = f.truncate(K)
-    coeffs = [Fraction(0)] * K
-    coeffs[0] = Fraction(1)
-    for n in range(ell + 1, 2 * ell + 1):
-        coeffs[n - 1] = t * f[n]
-    coeffs[K - 1] = Fraction(ell + 1, 2) * (t * f[ell + 1]) ** 2 - t * resad(f, ell)
-    return Jet(tuple(coeffs))
-
-
-@dataclass(frozen=True)
-class FlowElement:
-    """A point f^t on the flow through ``base``; ``jet()`` materializes it."""
-
-    base: Jet
-    time: Fraction
-
-    def jet(self) -> Jet:
-        return flow_in_G(self.base, self.time)
+    return field_to_germ(germ_to_field(f), t)
 
 
 def power(f: Jet, n: int) -> Jet:
     """n-fold composition power (inverse iterates for n < 0)."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("power exponent must be an integer")
-    if n == 0:
-        return Jet.identity(f.order, f.carrier)
-    base = f if n > 0 else invert(f)
-    out = base
-    for _ in range(abs(n) - 1):
-        out = compose(out, base)
+    base = f if n >= 0 else invert(f)
+    out = Jet.identity(f.order, f.carrier)
+    n = abs(n)
+    while n:
+        if n & 1:
+            out = compose(out, base)
+        n >>= 1
+        if n:
+            base = compose(base, base)
     return out
 
 
@@ -102,61 +87,18 @@ def germ_to_field(f: Jet) -> FieldJet:
     tc = tangency_order(f)
     if not tc.exact:
         raise TangencyError("germ must be exactly tangent at some order")
-    ell = tc.ell
-    K = 2 * ell + 1
+    K = 2 * tc.ell + 1
     if f.order < K:
         raise OrderError(f"order {f.order} < {K}")
-    coeffs = [Fraction(0)] * (K - 1)
-    for n in range(ell + 1, 2 * ell + 1):
-        coeffs[n - 2] = f[n]
-    coeffs[K - 2] = -resad(f.truncate(K), ell)
-    return FieldJet(tuple(coeffs))
-
-
-# -- Picard iteration with coefficients in Q[t] ------------------------------
-# An s-polynomial is a tuple of Fractions indexed by the power of the time
-# variable; the flow jet is a dense list of s-polynomials indexed by x-degree.
-
-_SP_ZERO = (Fraction(0),)
-
-
-def _sp_trim(p):
-    i = len(p)
-    while i > 1 and p[i - 1] == 0:
-        i -= 1
-    return tuple(p[:i])
-
-
-def _sp_add(p, q):
-    n = max(len(p), len(q))
-    return _sp_trim([ (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n) ])
-
-
-def _sp_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi == 0:
-            continue
-        for j, qj in enumerate(q):
-            if qj != 0:
-                out[i + j] += pi * qj
-    return _sp_trim(out)
-
-
-def _sp_integrate(p):
-    # definite integral from 0 to s, as a polynomial in s
-    return _sp_trim([Fraction(0)] + [v / (i + 1) for i, v in enumerate(p)])
-
-
-def _sp_eval(p, t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for v in reversed(p):
-        acc = acc * t + v
-    return acc
-
-
-def _sp_is_zero(p):
-    return all(v == 0 for v in p)
+    fd = _dense(f, K)
+    term = _dense(Jet.identity(K), K)
+    X = [Fraction(0)] * (K + 1)
+    for k in count(1):
+        term = [a - b for a, b in zip(_subst(term, fd, K), term)]  # (T_f - I) term
+        if not any(term):
+            break
+        X = [c + Fraction((-1) ** (k + 1), k) * d for c, d in zip(X, term)]
+    return FieldJet(tuple(X[2:]))
 
 
 def field_to_germ(X: FieldJet, t) -> Jet:
@@ -170,46 +112,16 @@ def field_to_germ(X: FieldJet, t) -> Jet:
         raise CarrierMismatch("field_to_germ needs the rational carrier")
     t = _as_fraction(t)
     K = X.order
-    if X.is_zero():
-        return Jet.identity(K)
-
-    def identity_jet():
-        phi = [_SP_ZERO] * (K + 1)  # indexed by x-degree, entry 0 unused
-        phi[1] = (Fraction(1),)
-        return phi
-
-    def jet_mul(r, phi):
-        out = [_SP_ZERO] * (K + 1)
-        for i in range(K + 1):
-            if _sp_is_zero(r[i]):
-                continue
-            for j in range(1, K + 1 - i):
-                if not _sp_is_zero(phi[j]):
-                    out[i + j] = _sp_add(out[i + j], _sp_mul(r[i], phi[j]))
-        return out
-
-    def substitute(phi):
-        # X(phi(s, x)) by Horner over x-degrees K..2
-        r = [_SP_ZERO] * (K + 1)
-        r[0] = (Fraction(X[K]),)
-        for n in range(K - 1, 1, -1):
-            r = jet_mul(r, phi)
-            r[0] = _sp_add(r[0], (Fraction(X[n]),))
-        r = jet_mul(r, phi)
-        r = jet_mul(r, phi)
-        return r
-
-    # Picard: phi <- x + integral_0^s X(phi(u, x)) du, one sweep per order
-    phi = identity_jet()
-    for _ in range(K):
-        rhs = substitute(phi)
-        nxt = identity_jet()
-        for d in range(2, K + 1):
-            nxt[d] = _sp_integrate(rhs[d])
-        phi = nxt
-
-    coeffs = tuple(_sp_eval(phi[d], t) for d in range(1, K + 1))
-    return Jet(coeffs)
+    Xd = (0, 0) + X.coeffs
+    term = _dense(Jet.identity(K), K)
+    out = term
+    for k in count(1):
+        deriv = [n * term[n] for n in range(1, K + 1)]
+        term = [t / k * c for c in _mul(Xd, deriv, K)]  # t/k L_X term
+        if not any(term):
+            break
+        out = [a + b for a, b in zip(out, term)]
+    return Jet(tuple(out[1:]))
 
 
 def ramified_push(f: Jet, ell: int) -> Jet:

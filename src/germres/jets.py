@@ -220,17 +220,22 @@ def _dense(jet, K):
     return out
 
 
+def _subst(p, g, K):
+    """p(g(x)) mod x^(K+1) by Horner, for dense p and dense g with g[0] = 0."""
+    top = min(len(p) - 1, K)
+    r = [0] * (K + 1)
+    r[0] = p[top]
+    for n in range(top - 1, -1, -1):
+        r = _mul(r, g, K)
+        r[0] += p[n]
+    return r
+
+
 def compose(f: Jet, g: Jet) -> Jet:
     """Substitution f(g(x)) truncated at min(order(f), order(g))."""
     _same_carrier(f, g)
     K = min(f.order, g.order)
-    gd = _dense(g, K)
-    r = [0] * (K + 1)
-    r[0] = f[K]
-    for n in range(K - 1, 0, -1):
-        r = _mul(r, gd, K)
-        r[0] += f[n]
-    r = _mul(r, gd, K)
+    r = _subst(_dense(f, K), _dense(g, K), K)
     return Jet(tuple(r[1 : K + 1]), f.carrier)
 
 
@@ -272,16 +277,7 @@ def pullback_field(h: Jet, X: FieldJet) -> FieldJet:
     Xt = X.truncate(K)
     if Xt.is_zero():
         return FieldJet.zero(K, X.carrier)
-    hd = _dense(h, K)
-
-    # X(h(x)) by Horner over degrees K..2
-    r = [0] * (K + 1)
-    r[0] = Xt[K]
-    for n in range(K - 1, 1, -1):
-        r = _mul(r, hd, K)
-        r[0] += Xt[n]
-    r = _mul(r, hd, K)
-    r = _mul(r, hd, K)
+    r = _subst((0, 0) + Xt.coeffs, _dense(h, K), K)  # X(h(x))
 
     # 1/Dh as a truncated series; d0 = a_1 is a unit in the carrier
     d = [0] * (K + 1)

@@ -29,6 +29,7 @@ sweeps may run concurrently.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +59,8 @@ class ProductUnderflow(NumericsError):
 
 
 class ContourError(NumericsError):
-    """z - f(z) vanishes on or dangerously near the integration circle."""
+    """z - f(z) vanishes on or dangerously near the integration circle, or
+    the integral overflows the floating range."""
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +125,26 @@ class NumericField:
             raise DomainError(f"{self.name}: point {x} outside (0, {self.x_max}]")
 
 
+def _horner(coeffs, power=0):
+    """Evaluator x -> (coeffs[0] + coeffs[1] x + ...) * x**power by Horner's rule.
+
+    Build it once and use the closure itself as the evaluator, so hot loops
+    pay no extra call frame.  Multiplying by x one factor at a time is not
+    the same as one multiplication by x**power in floating point; callers
+    that do the former prepend one -0.0 coefficient per factor instead,
+    since acc*x + -0.0 == acc*x bit for bit (use -0j for complex x).
+    """
+    rev = tuple(reversed(coeffs))
+
+    def poly(x):
+        acc = 0.0
+        for c in rev:
+            acc = acc * x + c
+        return acc * x**power if power else acc
+
+    return poly
+
+
 def field_from_coeffs(name: str, coeffs: dict, x_max: float = 1.0) -> NumericField:
     """Polynomial field from exact {degree: coefficient} data."""
     exact = {int(d): Fraction(c) for d, c in coeffs.items() if c != 0}
@@ -132,13 +154,7 @@ def field_from_coeffs(name: str, coeffs: dict, x_max: float = 1.0) -> NumericFie
     ell = m - 1
     poly = tuple(exact.get(d, Fraction(0)) for d in range(m, top + 1))
     fl = [float(c) for c in poly]
-
-    def func(x, _fl=tuple(fl), _m=m):
-        acc = 0.0
-        for c in reversed(_fl):
-            acc = acc * x + c
-        return acc * x**_m
-
+    func = _horner(fl, m)
     return NumericField(name=name, func=func, ell=ell, leading=fl[0], x_max=x_max, poly=poly)
 
 
@@ -188,18 +204,11 @@ class _TauScheme:
                         u[i + j] += ei * sj
             u[0] -= 1
             assert all(ui == 0 for ui in u[: ell + 1])
-            t_coeffs = [float(-ui) for ui in u[ell + 1 :]]
-            s_float = [float(si) for si in s]
-            lead = float(field.poly[0])
+            num = _horner([float(-ui) for ui in u[ell + 1 :]])
+            den = _horner([float(si) for si in s])
 
-            def remainder(y, _t=tuple(t_coeffs), _s=tuple(s_float), _c=lead):
-                num = 0.0
-                for tc in reversed(_t):
-                    num = num * y + tc
-                den = 0.0
-                for sc in reversed(_s):
-                    den = den * y + sc
-                return num / (_c * den)
+            def remainder(y, _c=float(field.poly[0])):
+                return num(y) / (_c * den(y))
 
             self.remainder = remainder
             self.d = {ell + 1 - i: float(Fraction(ei) / field.poly[0]) for i, ei in enumerate(e)}
@@ -527,7 +536,10 @@ def contour_residue(f: Callable[[complex], complex], radius: float, points: int 
     small = np.abs(w) < 1e-12 * radius
     if small.any():
         raise ContourError("z - f(z) vanishes on or near the contour")
-    return complex(np.mean(z / w))
+    value = complex(np.mean(z / w))
+    if not cmath.isfinite(value):
+        raise ContourError(f"the contour integral is not finite at radius {radius}")
+    return value
 
 
 # ---------------------------------------------------------------------------

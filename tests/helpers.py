@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from germres import Jet
+from germres import FieldJet, Jet
 
 X = sp.symbols("x")
 
@@ -60,6 +60,32 @@ def rand_positive_jet(r, order, max_den=4):
 def rand_int_parabolic(r, order, lo=-6, hi=6):
     coeffs = [1] + [r.randint(lo, hi) for _ in range(order - 1)]
     return Jet(tuple(coeffs), carrier="integer")
+
+
+# -- closed-form flow oracles (PAPER.md) --------------------------------------
+
+
+def _resad(f, ell):
+    return Fraction(ell + 1, 2) * f[ell + 1] ** 2 - f[2 * ell + 1]
+
+
+def closed_form_flow(f, ell, t):
+    """f^t = x + sum t a_n x^n + [(l+1)/2 (t a_(l+1))^2 - t resad] x^(2l+1)
+    for an exactly ell-tangent jet f, at order 2 ell + 1."""
+    t = Fraction(t)
+    K = 2 * ell + 1
+    coeffs = [Fraction(0)] * K
+    coeffs[0] = Fraction(1)
+    for n in range(ell + 1, 2 * ell + 1):
+        coeffs[n - 1] = t * f[n]
+    coeffs[K - 1] = Fraction(ell + 1, 2) * (t * f[ell + 1]) ** 2 - t * _resad(f, ell)
+    return Jet(tuple(coeffs))
+
+
+def closed_form_generator(f, ell):
+    """X = sum a_n x^n - resad x^(2l+1), the generator of the flow through f."""
+    coeffs = [f[n] for n in range(2, 2 * ell + 1)] + [-_resad(f, ell)]
+    return FieldJet(tuple(coeffs))
 
 
 # -- sympy oracles -----------------------------------------------------------

@@ -1,7 +1,11 @@
 """Command-line interface: JSON shape, determinism, round trips, errors."""
 
 import json
+import os
+import subprocess
+import sys
 
+import germres
 from germres import Jet, jet_from_json, jet_to_json
 from germres.cli import main
 
@@ -152,6 +156,45 @@ def test_error_is_structured(capsys):
     code, out = run_cli(capsys, "szekeres", "--catalog", "nope", "--x0", "0.3")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "KeyError"
+
+
+def strict_error_code(out):
+    """The error code of a strict-JSON error document (no NaN/Infinity)."""
+
+    def refuse(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    doc = json.loads(out, parse_constant=refuse)
+    assert set(doc) == {"error"}
+    return doc["error"]["code"]
+
+
+def test_contour_non_finite_is_an_error(capsys):
+    code, out = run_cli(capsys, "contour", "--poly", "1,1", "--radius", "1e308")
+    assert code == 1
+    assert strict_error_code(out) == "ContourError"
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    for text in ("(" * 2000 + "x" + ")" * 2000, "-" * 2000 + "x"):
+        code, out = run_cli(capsys, "residue", f"--expr={text}", "--order", "3")
+        assert code == 1
+        assert strict_error_code(out) == "ParseError"
+
+
+def test_power_large_exponent_finishes():
+    # square-and-multiply needs ~27 squarings; f^n is the closed-form flow
+    # x - n x^2 + (n^2 - n) x^3 of x - x^2 at t = n
+    n = 10**8
+    src = os.path.dirname(os.path.dirname(os.path.abspath(germres.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["power", "--expr", "x - x^2", "--order", "3", "--n", str(n)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "germres.cli", *argv], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert proc.returncode == 0
+    jet = json.loads(proc.stdout)["result"]["jet"]
+    assert jet["coeffs"] == ["1", str(-n), str(n * n - n)]
 
 
 def test_csv_unavailable_elsewhere(capsys):

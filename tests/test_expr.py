@@ -87,6 +87,15 @@ def test_parse_errors_carry_position():
         parse_expr("(x + 1")
 
 
+def test_nesting_depth_is_bounded():
+    assert parse_expr("(" * 100 + "x" + ")" * 100).func(0.5) == 0.5
+    assert parse_expr("-(" * 50 + "x" + ")" * 50).func(0.5) == 0.5
+    for text in ("(" * 2000 + "x" + ")" * 2000, "-" * 2000 + "x", "log(" * 101 + "x" + ")" * 101):
+        with pytest.raises(ParseError) as info:
+            parse_expr(text)
+        assert "nesting" in str(info.value)
+
+
 def test_unary_minus_and_precedence():
     e = parse_expr("-x + 2*x^2 - x*x")
     assert abs(e.func(0.3) - (-0.3 + 2 * 0.09 - 0.09)) < 1e-15

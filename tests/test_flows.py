@@ -7,7 +7,6 @@ import pytest
 
 from germres import (
     FieldJet,
-    FlowElement,
     Jet,
     compose,
     conjugate,
@@ -21,7 +20,16 @@ from germres import (
     reduce_germ,
     resad,
 )
-from helpers import rand_fraction, rand_tangent, rng, sympy_compose
+from helpers import (
+    closed_form_flow,
+    closed_form_generator,
+    rand_fraction,
+    rand_int_parabolic,
+    rand_tangent,
+    rng,
+    sympy_compose,
+    sympy_invert,
+)
 
 
 def test_flow_time_one_recovers_generator():
@@ -29,6 +37,24 @@ def test_flow_time_one_recovers_generator():
     for ell in (1, 2, 3):
         f = rand_tangent(r, ell, 2 * ell + 3)
         assert flow_in_G(f, 1) == f.truncate(2 * ell + 1)
+
+
+def test_flow_and_generator_match_closed_forms():
+    # PAPER.md's closed forms, evaluated outside the package, on jets longer
+    # than 2*ell+1 (the flow reads only the truncation)
+    r = rng(40)
+    for ell in (1, 2, 3, 4):
+        for _ in range(5):
+            f = rand_tangent(r, ell, 2 * ell + 1 + r.randint(1, 3))
+            assert germ_to_field(f) == closed_form_generator(f, ell)
+            times = (
+                F(0),
+                -abs(rand_fraction(r, nonzero=True)),
+                abs(rand_fraction(r, nonzero=True)),
+                rand_fraction(r, lo=-40, hi=40, max_den=9),
+            )
+            for t in times:
+                assert flow_in_G(f, t) == closed_form_flow(f, ell, t)
 
 
 def test_flow_time_zero_is_identity():
@@ -82,17 +108,24 @@ def test_flow_rejects_float_time():
         flow_in_G(Jet.of(1, 1, 0), 0.5)
 
 
-def test_flow_element_time_one():
-    f = Jet.of(1, F(1, 2), F(1, 3))
-    assert FlowElement(base=f, time=F(1)).jet() == f
-
-
 def test_power_examples():
     f = Jet.of(1, -1, 0, 0)
     assert power(f, 2) == sympy_compose(f, f)
     assert power(f, 0) == Jet.identity(4)
     assert power(f, -1) == invert(f)
     assert power(f, -3) == invert(compose(f, compose(f, f)))
+
+    # exponents +-1..+-9 against chains of sympy compositions: an integer
+    # jet, a non-parabolic jet and a rational tangent jet
+    r = rng(30)
+    for g in (rand_int_parabolic(r, 4), Jet.of(2, F(-1, 3), 1, F(1, 2)), rand_tangent(r, 2, 5)):
+        for sign, base in ((1, g), (-1, sympy_invert(g))):
+            chain = base
+            for n in range(1, 10):
+                p = power(g, sign * n)
+                assert p.carrier == g.carrier
+                assert p.coeffs == chain.coeffs
+                chain = sympy_compose(chain, base)
 
 
 def test_germ_to_field_examples():

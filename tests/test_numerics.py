@@ -345,6 +345,11 @@ def test_contour_detects_fixed_point_on_circle():
         contour_residue(lambda z: z + (z - r) * z**2, r, 64)
 
 
+def test_contour_refuses_non_finite_value():
+    with np.errstate(all="ignore"), pytest.raises(ContourError):
+        contour_residue(lambda z: z + z * z, 1e308)
+
+
 # -- divergence diagnostic -----------------------------------------------------
 
 
