@@ -9,8 +9,11 @@ groups and the germ/field correspondence (:mod:`germres.flows`).
 Numeric side: Szekeres fields, time-coordinate flows and canonical
 conjugacies, the orbit-deviation residue estimator, contour residues and
 divergence diagnostics (:mod:`germres.numerics`), with a catalog of worked
-germs and fields (:mod:`germres.catalog`).
+germs and fields (:mod:`germres.catalog`).  The numeric side loads on first
+use of one of its names, so the exact side runs without numpy and scipy.
 """
+
+import importlib
 
 from .jets import (
     INTEGER,
@@ -47,31 +50,110 @@ from .flows import (
     power,
     ramified_push,
 )
-from .numerics import (
-    GermSpec,
-    NumericField,
-    ResitEstimate,
-    SzekeresResult,
-    canonical_conjugacy,
-    contour_residue,
-    divergence_diagnostic,
-    estimate_resit,
-    field_from_coeffs,
-    field_from_jet,
-    flow_map,
-    orbit_bound_check,
-    szekeres_field,
-    tau,
-)
-from .catalog import (
-    catalog_field,
-    catalog_germ,
-    germ_from_jet,
-    moebius,
-    quadratic,
-    ramified_flow,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The float engine (numpy, scipy) loads on first use of one of its names.
+_LAZY = {
+    "numerics": (
+        "GermSpec",
+        "NumericField",
+        "ResitEstimate",
+        "SzekeresResult",
+        "canonical_conjugacy",
+        "contour_residue",
+        "divergence_diagnostic",
+        "estimate_resit",
+        "field_from_coeffs",
+        "field_from_jet",
+        "flow_map",
+        "orbit_bound_check",
+        "szekeres_field",
+        "tau",
+    ),
+    "catalog": (
+        "catalog_field",
+        "catalog_germ",
+        "germ_from_jet",
+        "moebius",
+        "quadratic",
+        "ramified_flow",
+    ),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_OWNER:
+        value = getattr(importlib.import_module(f".{_LAZY_OWNER[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+__all__ = [
+    "CarrierMismatch",
+    "FieldJet",
+    "GermSpec",
+    "INTEGER",
+    "Jet",
+    "NotInvertible",
+    "NumericField",
+    "OrderError",
+    "RATIONAL",
+    "ReductionTrace",
+    "ResidueReport",
+    "ResitEstimate",
+    "SzekeresResult",
+    "TangencyClass",
+    "TangencyError",
+    "canonical_conjugacy",
+    "catalog",
+    "catalog_field",
+    "catalog_germ",
+    "compose",
+    "conjugate",
+    "contour_residue",
+    "divergence_diagnostic",
+    "estimate_resit",
+    "field_from_coeffs",
+    "field_from_jet",
+    "field_from_json",
+    "field_to_germ",
+    "field_to_json",
+    "flow_in_G",
+    "flow_map",
+    "flows",
+    "germ_from_jet",
+    "germ_to_field",
+    "invert",
+    "jet_from_json",
+    "jet_to_json",
+    "jets",
+    "mod2_homs",
+    "moebius",
+    "normal_form",
+    "numerics",
+    "orbit_bound_check",
+    "phi",
+    "power",
+    "pullback_field",
+    "quadratic",
+    "ramified_flow",
+    "ramified_push",
+    "reduce_field",
+    "reduce_germ",
+    "resad",
+    "resad_bar",
+    "residues",
+    "schwarzian_at_origin",
+    "schwarzian_higher",
+    "szekeres_field",
+    "tangency_order",
+    "tau",
+]

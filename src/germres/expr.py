@@ -8,18 +8,23 @@ Grammar (no implicit multiplication)::
     power  := atom ('^' signed-integer)?
     atom   := number | 'x' | 'log' '(' expr ')' | '(' expr ')'
 
-Numbers are exact: integer or decimal literals become rationals.  The AST
-supports float evaluation, symbolic differentiation, exact truncated-series
-expansion (when the expression is a ratio of polynomials in disguise), and
+Numbers are exact: integer or decimal literals become rationals.  A chain
+of '+'/'-' or '*'/'/' becomes one n-ary node that is walked by a loop, so
+the depth of the AST is bounded by the nesting of parentheses and unary
+minus.  The AST supports float evaluation (with the derivative, in forward
+mode), exact truncated-series expansion over the :mod:`germres.jets` kernel
+(when the expression is a ratio of polynomials in disguise), and
 fingerprint matching against the germ catalog.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
+from . import jets
 from .catalog import catalog_germ
 from .jets import Jet
 
@@ -117,20 +122,20 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+        return self.chain(self.term, {"+": False, "-": True}, "sum")
 
     def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+        return self.chain(self.factor, {"*": False, "/": True}, "prod")
+
+    def chain(self, operand, ops, kind):
+        """``operand (op operand)*`` as one n-ary node (kind, head, tail), where
+        tail holds (inverse, node) pairs: inverse marks '-' or '/'."""
+        head = operand()
+        tail = []
+        while self.peek()[0] in ops:
+            inverse = ops[self.take()[0]]
+            tail.append((inverse, operand()))
+        return (kind, head, tuple(tail)) if tail else head
 
     def factor(self):
         if self.peek()[0] == "-":
@@ -173,80 +178,80 @@ class _Parser:
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
 
-def _eval(node, x):
+def _compile(node):
+    """Evaluator x -> float value of ``node``, built once as closures; it
+    applies the same float operations in the same order as the formula."""
     kind = node[0]
     if kind == "num":
-        return float(node[1])
+        value = float(node[1])
+        return lambda x: value
     if kind == "x":
-        return x
-    if kind == "add":
-        return _eval(node[1], x) + _eval(node[2], x)
-    if kind == "sub":
-        return _eval(node[1], x) - _eval(node[2], x)
-    if kind == "mul":
-        return _eval(node[1], x) * _eval(node[2], x)
-    if kind == "div":
-        return _eval(node[1], x) / _eval(node[2], x)
+        return lambda x: x
+    if kind in ("sum", "prod"):
+        head = _compile(node[1])
+        tail = tuple((inverse, _compile(child)) for inverse, child in node[2])
+        if kind == "sum":
+            def chain(x):
+                acc = head(x)
+                for inverse, f in tail:
+                    acc = acc - f(x) if inverse else acc + f(x)
+                return acc
+        else:
+            def chain(x):
+                acc = head(x)
+                for inverse, f in tail:
+                    acc = acc / f(x) if inverse else acc * f(x)
+                return acc
+        return chain
+    inner = _compile(node[1])
     if kind == "neg":
-        return -_eval(node[1], x)
+        return lambda x: -inner(x)
     if kind == "pow":
-        return _eval(node[1], x) ** node[2]
+        n = node[2]
+        return lambda x: inner(x) ** n
     if kind == "log":
-        return math.log(_eval(node[1], x))
+        return lambda x: math.log(inner(x))
     raise AssertionError(kind)
 
 
-def _derivative(node):
+def _eval_d(node, x):
+    """(value, derivative) at x, by the sum, product, quotient, power and
+    log rules applied in the order of the chains."""
     kind = node[0]
     if kind == "num":
-        return ("num", Fraction(0))
+        return float(node[1]), 0.0
     if kind == "x":
-        return ("num", Fraction(1))
-    if kind in ("add", "sub"):
-        return (kind, _derivative(node[1]), _derivative(node[2]))
+        return x, 1.0
+    if kind in ("sum", "prod"):
+        v, d = _eval_d(node[1], x)
+        for inverse, child in node[2]:
+            cv, cd = _eval_d(child, x)
+            if kind == "sum":
+                v, d = (v - cv, d - cd) if inverse else (v + cv, d + cd)
+            elif inverse:
+                v, d = v / cv, (d * cv - v * cd) / cv**2
+            else:
+                v, d = v * cv, d * cv + v * cd
+        return v, d
     if kind == "neg":
-        return ("neg", _derivative(node[1]))
-    if kind == "mul":
-        u, v = node[1], node[2]
-        return ("add", ("mul", _derivative(u), v), ("mul", u, _derivative(v)))
-    if kind == "div":
-        u, v = node[1], node[2]
-        num = ("sub", ("mul", _derivative(u), v), ("mul", u, _derivative(v)))
-        return ("div", num, ("pow", v, 2))
+        v, d = _eval_d(node[1], x)
+        return -v, -d
     if kind == "pow":
-        base, n = node[1], node[2]
-        if n == 0:
-            return ("num", Fraction(0))
-        return ("mul", ("mul", ("num", Fraction(n)), ("pow", base, n - 1)), _derivative(base))
+        v, d = _eval_d(node[1], x)
+        n = node[2]
+        return v**n, (float(n) * v ** (n - 1) * d if n else 0.0)
     if kind == "log":
-        return ("div", _derivative(node[1]), node[1])
+        v, d = _eval_d(node[1], x)
+        return math.log(v), d / v
     raise AssertionError(kind)
 
 
 # -- truncated series of an expression (degrees 0..order, Fractions) --------
 
-def _s_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(order + 1 - i):
-            if b[j] != 0:
-                out[i + j] += ai * b[j]
-    return out
-
-
-def _s_recip(a, order):
+def _recip(a, order):
     if a[0] == 0:
         raise NotASeries("division by a series vanishing at 0")
-    inv = [Fraction(0)] * (order + 1)
-    inv[0] = 1 / a[0]
-    for m in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, m + 1):
-            acc += a[i] * inv[m - i]
-        inv[m] = -acc * inv[0]
-    return inv
+    return jets._recip(a, order)
 
 
 def _series(node, order):
@@ -261,28 +266,34 @@ def _series(node, order):
         if order >= 1:
             out[1] = Fraction(1)
         return out
-    if kind == "add":
-        a, b = _series(node[1], order), _series(node[2], order)
-        return [x + y for x, y in zip(a, b)]
-    if kind == "sub":
-        a, b = _series(node[1], order), _series(node[2], order)
-        return [x - y for x, y in zip(a, b)]
+    if kind == "sum":
+        acc = _series(node[1], order)
+        for inverse, child in node[2]:
+            s = _series(child, order)
+            acc = [a - b for a, b in zip(acc, s)] if inverse else [a + b for a, b in zip(acc, s)]
+        return acc
+    if kind == "prod":
+        acc = _series(node[1], order)
+        for inverse, child in node[2]:
+            s = _series(child, order)
+            acc = jets._mul(acc, _recip(s, order) if inverse else s, order)
+        return acc
     if kind == "neg":
         return [-x for x in _series(node[1], order)]
-    if kind == "mul":
-        return _s_mul(_series(node[1], order), _series(node[2], order), order)
-    if kind == "div":
-        return _s_mul(_series(node[1], order), _s_recip(_series(node[2], order), order), order)
     if kind == "pow":
         n = node[2]
         base = _series(node[1], order)
         if n < 0:
-            base = _s_recip(base, order)
+            base = _recip(base, order)
             n = -n
         out = list(zero)
         out[0] = Fraction(1)
-        for _ in range(n):
-            out = _s_mul(out, base, order)
+        while n:  # square and multiply
+            if n & 1:
+                out = jets._mul(out, base, order)
+            n >>= 1
+            if n:
+                base = jets._mul(base, base, order)
         return out
     if kind == "log":
         raise NotASeries("log has no power-series expansion at 0 in this grammar")
@@ -297,14 +308,18 @@ class GermExpr:
 
     text: str
     ast: tuple
+    _func: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_func", _compile(self.ast))
 
     def func(self, x: float) -> float:
-        return _eval(self.ast, x)
+        return self._func(x)
 
     __call__ = func
 
     def deriv(self, x: float) -> float:
-        return _eval(_derivative(self.ast), x)
+        return _eval_d(self.ast, x)[1]
 
     def to_jet(self, order: int) -> Jet:
         s = _series(self.ast, order)

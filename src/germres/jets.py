@@ -13,6 +13,18 @@ Two coefficient carriers are supported:
 
 Floats are rejected everywhere: this module is the exact side of the
 library.  All values are immutable; every operation is a pure function.
+
+Every operation runs on one dense-series kernel: ``_mul`` (product),
+``_subst`` (Horner substitution p(g)) and ``_recip`` (reciprocal series),
+each truncated at degree K.  The kernel rescales its inputs once to
+integer numerators over a common denominator (``math.lcm``), multiplies
+plain ints, strips the common content with one ``math.gcd`` per Horner
+step, and returns normalized Fractions, or ints on the integer carrier.
+``compose`` is ``_subst``; ``invert`` is Lagrange inversion,
+b_n = [x^(n-1)] (x/f)^n / n, with x/f from ``_recip`` and its powers taken
+over the integers, so it costs O(K^3) multiplications against O(K^4) for
+solving one coefficient at a time; ``pullback_field`` multiplies X(h) by
+``_recip(Dh)``.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import json
+from math import gcd, lcm
 
 RATIONAL = "rational"
 INTEGER = "integer"
@@ -198,19 +211,60 @@ class FieldJet:
         return (" + ".join(terms) if terms else "0") + " d/dx"
 
 
-# -- dense polynomial helpers (lists indexed by degree 0..K) ----------------
+# -- dense polynomial kernel (lists indexed by degree 0..K) -----------------
+#
+# Inputs are lists of ints and Fractions.  Results are normalized Fractions,
+# or ints when every input was an int and no denominator is left.
+
+def _scaled(a):
+    """(integer numerators, common denominator, all inputs were ints) of a."""
+    den = lcm(*(c.denominator for c in a))
+    nums = [c.numerator * (den // c.denominator) for c in a]
+    return nums, den, all(type(c) is int for c in a)
+
+
+def _unscaled(nums, den, ints):
+    if ints and den == 1:
+        return nums
+    return [Fraction(n, den) for n in nums]
+
+
+def _conv(A, B, K):
+    """Integer product A * B mod x^(K+1)."""
+    out = [0] * (K + 1)
+    nonzero = [(j, b) for j, b in enumerate(B[: K + 1]) if b]
+    for i, a in enumerate(A[: K + 1]):
+        if a:
+            top = K - i
+            for j, b in nonzero:
+                if j > top:
+                    break
+                out[i + j] += a * b
+    return out
+
 
 def _mul(a, b, K):
-    out = [0] * (K + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        top = min(K - i, len(b) - 1)
-        for j in range(top + 1):
-            bj = b[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return out
+    """a * b mod x^(K+1) for dense a and b."""
+    A, da, ia = _scaled(a)
+    B, db, ib = _scaled(b)
+    return _unscaled(_conv(A, B, K), da * db, ia and ib)
+
+
+def _recip(a, K):
+    """1/a mod x^(K+1) for dense a with a[0] != 0.
+
+    With A = a * da over the integers, 1/A = sum_m V_m x^m / A_0^(m+1) where
+    V_0 = 1 and V_m = -sum_(i=1..m) A_i A_0^(i-1) V_(m-i).
+    """
+    A, da, ints = _scaled(list(a[: K + 1]) + [0] * (K + 1 - len(a)))
+    a0 = A[0]
+    weighted = [0] + [A[i] * a0 ** (i - 1) for i in range(1, K + 1)]
+    V = [1]
+    for m in range(1, K + 1):
+        V.append(-sum(weighted[i] * V[m - i] for i in range(1, m + 1) if weighted[i]))
+    if ints and a0 in (1, -1):
+        return [v * a0 ** (m + 1) for m, v in enumerate(V)]
+    return [Fraction(da * v, a0 ** (m + 1)) for m, v in enumerate(V)]
 
 
 def _dense(jet, K):
@@ -221,14 +275,34 @@ def _dense(jet, K):
 
 
 def _subst(p, g, K):
-    """p(g(x)) mod x^(K+1) by Horner, for dense p and dense g with g[0] = 0."""
+    """p(g(x)) mod x^(K+1) by Horner, for dense p and dense g with g[0] = 0.
+
+    The partial sum r = R / dr carries integer numerators.  Before r takes
+    p_n it only matters through degree K - n, since the n later
+    multiplications by g raise every degree by at least one each.
+    """
     top = min(len(p) - 1, K)
-    r = [0] * (K + 1)
-    r[0] = p[top]
+    P, dp, ip = _scaled(p[: top + 1])
+    G, dg, ig = _scaled(g[: K + 1])
+    R, dr = [P[top]], dp
     for n in range(top - 1, -1, -1):
-        r = _mul(r, g, K)
-        r[0] += p[n]
-    return r
+        out = _conv(R, G, K - n)
+        dr *= dg
+        if P[n]:
+            common = gcd(dr, dp)
+            if common != dp:
+                scale = dp // common
+                out = [c * scale for c in out]
+            out[0] += P[n] * (dr // common)
+            dr = dr // common * dp
+        if dr != 1:
+            content = gcd(dr, *out)
+            if content != 1:
+                out = [c // content for c in out]
+                dr //= content
+        R = out
+    R += [0] * (K + 1 - len(R))
+    return _unscaled(R, dr, ip and ig)
 
 
 def compose(f: Jet, g: Jet) -> Jet:
@@ -240,20 +314,29 @@ def compose(f: Jet, g: Jet) -> Jet:
 
 
 def invert(f: Jet) -> Jet:
-    """Compositional inverse at the same order; integer carrier needs a_1 = +-1."""
-    a1 = f[1]
-    if f.carrier == INTEGER:
-        inv_a1 = a1  # a1 in {1,-1}, its own inverse
-    else:
-        inv_a1 = 1 / a1
+    """Compositional inverse at the same order; integer carrier needs a_1 = +-1.
+
+    Lagrange inversion: b_n = [x^(n-1)] (x/f)^n / n.  With s = a_1 times the
+    common denominator of f, the x^k coefficient of x/f is N_k / s^(k+1) for
+    an integer N_k, so the powers of x/f are powers of N over the integers:
+    [x^m] (x/f)^n = [x^m] N^n / s^(n+m).
+    """
     K = f.order
-    b = [0] * (K + 1)
-    b[1] = inv_a1
-    for n in range(2, K + 1):
-        partial = Jet(tuple(b[1:n]) + (0,) * (K - n + 1), f.carrier)
-        excess = compose(f, partial)[n]
-        b[n] = -excess * inv_a1
-    return Jet(tuple(b[1 : K + 1]), f.carrier)
+    s = _scaled(f.coeffs)[0][0]
+    N = [c.numerator * (s ** (k + 1) // c.denominator) for k, c in enumerate(_recip(f.coeffs, K - 1))]
+    power = [1]
+    b = []
+    for n in range(1, K + 1):
+        power = _conv(power, N, K - 1)
+        num, den = power[n - 1], n * s ** (2 * n - 1)
+        if f.carrier == INTEGER:
+            q, rem = divmod(num, den)
+            if rem:
+                raise CoefficientError(f"b_{n} of the inverse is not an integer")
+            b.append(q)
+        else:
+            b.append(Fraction(num, den))
+    return Jet(tuple(b), f.carrier)
 
 
 def conjugate(h: Jet, f: Jet) -> Jet:
@@ -278,23 +361,8 @@ def pullback_field(h: Jet, X: FieldJet) -> FieldJet:
     if Xt.is_zero():
         return FieldJet.zero(K, X.carrier)
     r = _subst((0, 0) + Xt.coeffs, _dense(h, K), K)  # X(h(x))
-
-    # 1/Dh as a truncated series; d0 = a_1 is a unit in the carrier
-    d = [0] * (K + 1)
-    for n in range(1, K + 1):
-        d[n - 1] = n * h[n] if n <= h.order else 0
-    d0 = d[0]
-    inv_d0 = d0 if X.carrier == INTEGER else 1 / d0
-    recip = [0] * (K + 1)
-    recip[0] = inv_d0
-    for m in range(1, K + 1):
-        acc = 0
-        for i in range(1, m + 1):
-            if d[i] != 0 and recip[m - i] != 0:
-                acc += d[i] * recip[m - i]
-        recip[m] = -inv_d0 * acc
-
-    y = _mul(r, recip, K)
+    Dh = [n * h[n] for n in range(1, K + 1)]
+    y = _mul(r, _recip(Dh, K), K)
     if y[1] != 0:
         raise OrderError("pullback produced a linear term; input field was not flat")
     return FieldJet(tuple(y[2 : K + 1]), X.carrier)

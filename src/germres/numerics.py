@@ -39,7 +39,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-TAU_ABS_TOL = 1e-10  # contract: |tau(flow_map(...)) - t| stays below this
+# contract: |tau(flow_map(...)) - t| stays below this times the size (at least
+# 1) of the time-coordinate values that tau subtracts, since float rounding of
+# values near 0, where the coordinate grows like 1/x^ell, is proportional to it
+TAU_ABS_TOL = 1e-10
 
 
 class NumericsError(RuntimeError):
@@ -310,8 +313,10 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
         root = brentq(g, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
     residual = tau(field, x0, root) - target
-    if abs(residual) > TAU_ABS_TOL:
-        raise NumericsError(f"time-map residual {residual:.3e} exceeds {TAU_ABS_TOL}")
+    sch = _scheme(field)
+    bound = TAU_ABS_TOL * max(1.0, abs(sch.antiderivative(x0)), abs(sch.antiderivative(root)))
+    if abs(residual) > bound:
+        raise NumericsError(f"time-map residual {residual:.3e} exceeds {bound:.3e}")
     return root
 
 

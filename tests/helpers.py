@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from germres import FieldJet, Jet
+from germres import FieldJet, Jet, compose
 
 X = sp.symbols("x")
 
@@ -60,6 +60,47 @@ def rand_positive_jet(r, order, max_den=4):
 def rand_int_parabolic(r, order, lo=-6, hi=6):
     coeffs = [1] + [r.randint(lo, hi) for _ in range(order - 1)]
     return Jet(tuple(coeffs), carrier="integer")
+
+
+def rand_int_jet(r, order, lo=-6, hi=6):
+    """Integer-carrier jet with a_1 = +-1."""
+    coeffs = [r.choice((1, -1))] + [r.randint(lo, hi) for _ in range(order - 1)]
+    return Jet(tuple(coeffs), carrier="integer")
+
+
+# -- reference kernels and the coefficient-by-coefficient inverse -------------
+
+
+def fraction_mul(a, b, K):
+    """a * b mod x^(K+1) by plain Fraction convolution."""
+    out = [Fraction(0)] * (K + 1)
+    for i, ai in enumerate(a[: K + 1]):
+        for j, bj in enumerate(b[: K + 1 - i]):
+            out[i + j] += Fraction(ai) * Fraction(bj)
+    return out
+
+
+def fraction_subst(p, g, K):
+    """p(g(x)) mod x^(K+1) as sum_n p_n g^n, by plain Fraction arithmetic."""
+    out = [Fraction(0)] * (K + 1)
+    g_power = [Fraction(1)] + [Fraction(0)] * K
+    for pn in p[: K + 1]:
+        out = [o + Fraction(pn) * c for o, c in zip(out, g_power)]
+        g_power = fraction_mul(g_power, g, K)
+    return out
+
+
+def quartic_invert(f):
+    """Compositional inverse solved one coefficient at a time: b_n is read
+    off f(b_1 x + ... + b_(n-1) x^(n-1)), one composition per coefficient."""
+    inv_a1 = f[1] if f.carrier == "integer" else 1 / f[1]
+    K = f.order
+    b = [0] * (K + 1)
+    b[1] = inv_a1
+    for n in range(2, K + 1):
+        partial = Jet(tuple(b[1:n]) + (0,) * (K - n + 1), f.carrier)
+        b[n] = -compose(f, partial)[n] * inv_a1
+    return Jet(tuple(b[1 : K + 1]), f.carrier)
 
 
 # -- closed-form flow oracles (PAPER.md) --------------------------------------

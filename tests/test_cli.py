@@ -1,6 +1,7 @@
 """Command-line interface: JSON shape, determinism, round trips, errors."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -158,13 +159,18 @@ def test_error_is_structured(capsys):
     assert json.loads(out)["error"]["code"] == "KeyError"
 
 
-def strict_error_code(out):
-    """The error code of a strict-JSON error document (no NaN/Infinity)."""
+def strict_json(out):
+    """Parse a strict-JSON document (no NaN/Infinity)."""
 
     def refuse(name):
         raise ValueError(f"non-strict JSON constant {name}")
 
-    doc = json.loads(out, parse_constant=refuse)
+    return json.loads(out, parse_constant=refuse)
+
+
+def strict_error_code(out):
+    """The error code of a strict-JSON error document."""
+    doc = strict_json(out)
     assert set(doc) == {"error"}
     return doc["error"]["code"]
 
@@ -180,6 +186,26 @@ def test_deep_nesting_is_a_parse_error(capsys):
         code, out = run_cli(capsys, "residue", f"--expr={text}", "--order", "3")
         assert code == 1
         assert strict_error_code(out) == "ParseError"
+
+
+def test_conjugate_self_near_zero_is_identity(capsys):
+    # tau ~ 1/x^2 ~ 1e7 at x = 3e-4, so rounding alone exceeds an absolute
+    # 1e-10 bound on the time-map residual
+    code, out = run_cli(
+        capsys, "conjugate", "--X", "poly:0,-1/2", "--Y", "poly:0,-1/2", "--x0", "0.1", "--grid", "3e-4"
+    )
+    assert code == 0
+    ((x, h, dh),) = json.loads(out)["result"]["samples"]
+    assert x == 3e-4
+    assert math.isclose(h, x, rel_tol=1e-12)
+    assert math.isclose(dh, 1.0, rel_tol=1e-9)
+
+
+def test_long_flat_sum_gives_strict_json(capsys):
+    for text in ("+".join(["x"] * 3000), "x" + "*(1-x)" * 3000):
+        code, out = run_cli(capsys, "residue", "--expr", text, "--order", "3")
+        assert code in (0, 1)
+        assert set(strict_json(out)) & {"result", "error"}
 
 
 def test_power_large_exponent_finishes():

@@ -100,3 +100,29 @@ def test_unary_minus_and_precedence():
     e = parse_expr("-x + 2*x^2 - x*x")
     assert abs(e.func(0.3) - (-0.3 + 2 * 0.09 - 0.09)) < 1e-15
     assert e.to_jet(2) == Jet.of(-1, 1)
+
+
+def test_long_sum_chain_is_walked_without_recursion():
+    n = 3000
+    e = parse_expr("+".join(["x"] * n) + "-x")
+    assert e.func(0.5) == (n - 1) * 0.5
+    assert e.deriv(0.5) == n - 1
+    assert e.to_jet(3) == Jet.of(n - 1, 0, 0)
+
+
+def test_long_product_chain_is_walked_without_recursion():
+    n = 3000
+    e = parse_expr("x" + "*(1+x)" * n + "/(1+x)")
+    x = 1e-4
+    assert math.isclose(e.func(x), x * (1 + x) ** (n - 1), rel_tol=1e-9)
+    assert math.isclose(e.deriv(x), (1 + x) ** (n - 1) + (n - 1) * x * (1 + x) ** (n - 2), rel_tol=1e-9)
+    assert e.to_jet(3) == Jet.of(1, n - 1, math.comb(n - 1, 2))
+
+
+def test_large_power_expands_by_squaring():
+    n = 10**8
+    e = parse_expr(f"x + x^2 + (1+x)^{n} - 1")
+    assert e.to_jet(5) == Jet.of(n + 1, math.comb(n, 2) + 1, *(math.comb(n, k) for k in (3, 4, 5)))
+    # (1+x)^-n = sum_k (-1)^k C(n+k-1, k) x^k
+    e = parse_expr(f"x + x^2 + (1+x)^-{n} - 1")
+    assert e.to_jet(3) == Jet.of(1 - n, math.comb(n + 1, 2) + 1, -math.comb(n + 2, 3))

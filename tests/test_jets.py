@@ -19,9 +19,22 @@ from germres import (
     jet_to_json,
     field_from_json,
     field_to_json,
+    jets,
     pullback_field,
 )
-from helpers import rand_jet, rand_tangent, rng, sympy_compose, sympy_conjugate, sympy_invert
+from helpers import (
+    fraction_mul,
+    fraction_subst,
+    quartic_invert,
+    rand_int_jet,
+    rand_jet,
+    rand_parabolic,
+    rand_tangent,
+    rng,
+    sympy_compose,
+    sympy_conjugate,
+    sympy_invert,
+)
 
 
 def test_compose_quadratic_square():
@@ -85,6 +98,80 @@ def test_invert_integer_carrier():
     assert compose(g, f) == Jet.identity(4, carrier="integer")
     h = Jet.of(-1, 3, 3, carrier="integer")
     assert compose(h, invert(h)).is_identity()
+
+
+def test_invert_matches_quartic_oracle():
+    # rational jets, rational jets with a_1 != 1, integer jets with a_1 = +-1
+    r = rng(21)
+    for K in range(1, 41):
+        scaled = rand_jet(r, K)
+        if scaled[1] == 1:
+            scaled = Jet((F(-3, 2),) + scaled.coeffs[1:])
+        for f in (rand_parabolic(r, K), scaled, rand_int_jet(r, K)):
+            assert invert(f) == quartic_invert(f)
+
+
+def test_invert_makes_no_composition(monkeypatch):
+    def refuse(f, g):
+        raise AssertionError("invert called compose")
+
+    f = rand_jet(rng(22), 12)
+    expected = invert(f)
+    monkeypatch.setattr(jets, "compose", refuse)
+    assert invert(f) == expected
+
+
+def _dense_cases(r):
+    """Dense inputs over ints and Fractions: small, large (~100-bit)
+    coefficients, all-zero rows and rows with zero stretches."""
+    def entry(kind):
+        if kind == "big":
+            return F(r.randint(-(10**30), 10**30), r.randint(1, 10**12))
+        if kind == "int":
+            return r.randint(-(10**25), 10**25)
+        return F(r.randint(-9, 9), r.randint(1, 4))
+
+    for _ in range(150):
+        kind = r.choice(("small", "big", "int"))
+        rows = []
+        for _ in range(2):
+            n = r.randint(1, 18)
+            if r.random() < 0.15:
+                row = [F(0) if kind != "int" else 0] * n
+            else:
+                row = [entry(kind) if r.random() < 0.6 else 0 for _ in range(n)]
+            rows.append(row)
+        yield rows[0], rows[1], r.randint(0, 20)
+
+
+def test_mul_matches_fraction_reference():
+    for a, b, K in _dense_cases(rng(23)):
+        out = jets._mul(a, b, K)
+        assert len(out) == K + 1
+        assert out == fraction_mul(a, b, K)
+        if all(type(c) is int for c in a + b):
+            assert all(type(c) is int for c in out)
+
+
+def test_subst_matches_fraction_reference():
+    for p, g, K in _dense_cases(rng(24)):
+        g = [0] + g[1:]
+        out = jets._subst(p, g, K)
+        assert len(out) == K + 1
+        assert out == fraction_subst(p, g, K)
+        if all(type(c) is int for c in p + g):
+            assert all(type(c) is int for c in out)
+
+
+def test_recip_times_input_is_one():
+    r = rng(25)
+    for K in range(0, 20):
+        a = [F(r.choice((-3, -1, 2, 5)), r.randint(1, 4))] + [F(r.randint(-9, 9), r.randint(1, 4)) for _ in range(K)]
+        assert fraction_mul(a, jets._recip(a, K), K) == [1] + [0] * K
+        ints = [r.choice((1, -1))] + [r.randint(-9, 9) for _ in range(K)]
+        inv = jets._recip(ints, K)
+        assert all(type(c) is int for c in inv)
+        assert fraction_mul(ints, inv, K) == [1] + [0] * K
 
 
 def test_integer_carrier_refuses_nonunit():
