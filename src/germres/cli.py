@@ -95,7 +95,7 @@ def _trace_dict(trace):
 
 def _load_jet(args) -> Jet:
     """A jet from --jet JSON, --expr (expanded exactly), or --catalog."""
-    order = getattr(args, "order", None) or DEFAULT_JET_ORDER
+    order = DEFAULT_JET_ORDER if args.order is None else args.order
     if getattr(args, "jet", None):
         return jet_from_json(args.jet)
     if getattr(args, "expr", None):
@@ -121,12 +121,11 @@ def _load_germ_spec(args) -> numerics.GermSpec:
         tag = parsed.catalog_tag()
         if tag is not None:
             return catalog.catalog_germ(tag)
-        order = getattr(args, "order", None) or DEFAULT_JET_ORDER
         try:
             # a rational formula regular at 0 gets exact flatness data; the
             # formula itself stays the evaluator
             return catalog.germ_from_jet(
-                parsed.to_jet(order),
+                parsed.to_jet(DEFAULT_JET_ORDER),
                 name=f"expr[{parsed.text}]",
                 func=parsed.func,
                 deriv=parsed.deriv,
@@ -179,7 +178,7 @@ def _emit(doc, args, csv_rows=None, csv_header=None):
         lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in csv_rows]
         print("\n".join(lines))
     else:
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps(doc, sort_keys=True, allow_nan=False))
     return 0
 
 

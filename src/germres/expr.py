@@ -26,7 +26,7 @@ from typing import Callable
 
 from . import jets
 from .catalog import catalog_germ
-from .jets import Jet
+from .jets import Jet, OrderError
 
 
 class ParseError(ValueError):
@@ -322,6 +322,8 @@ class GermExpr:
         return _eval_d(self.ast, x)[1]
 
     def to_jet(self, order: int) -> Jet:
+        if order < 1:
+            raise OrderError(f"jet order must be at least 1, not {order}")
         s = _series(self.ast, order)
         if s[0] != 0:
             raise NotASeries(f"expression does not fix 0 (constant term {s[0]})")

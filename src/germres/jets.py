@@ -55,6 +55,8 @@ class CoefficientError(ValueError):
 
 
 def _as_scalar(value, carrier):
+    if type(value) is Fraction and carrier == RATIONAL:
+        return value  # immutable: kernel results are kept, not copied
     if isinstance(value, bool):
         raise CoefficientError("booleans are not coefficients")
     if carrier == INTEGER:
@@ -381,20 +383,23 @@ def jet_to_dict(f: Jet) -> dict:
     return doc
 
 
+def _read_coeffs(doc, offset):
+    """(coefficients, carrier) of a jet document whose 'coeffs' list holds
+    order - offset exact entries: strings such as "-3/4", or integers."""
+    if not isinstance(doc, dict) or "order" not in doc or "coeffs" not in doc:
+        raise CoefficientError("jet JSON needs an object with 'order' and 'coeffs'")
+    order, raw = doc["order"], doc["coeffs"]
+    if type(order) is not int:
+        raise OrderError(f"order must be an integer, not {order!r}")
+    if not isinstance(raw, list):
+        raise CoefficientError(f"'coeffs' must be a list, not {raw!r}")
+    if len(raw) != order - offset:
+        raise OrderError(f"coeffs length {len(raw)} != order - {offset} = {order - offset}")
+    return tuple(_as_scalar(c, RATIONAL) for c in raw), doc.get("carrier", RATIONAL)
+
+
 def jet_from_dict(doc: dict) -> Jet:
-    try:
-        order = doc["order"]
-        raw = doc["coeffs"]
-    except (TypeError, KeyError) as exc:
-        raise CoefficientError("jet JSON needs 'order' and 'coeffs'") from exc
-    carrier = doc.get("carrier", RATIONAL)
-    if len(raw) != order:
-        raise OrderError(f"coeffs length {len(raw)} != order {order}")
-    if carrier == INTEGER:
-        coeffs = tuple(int(s) for s in raw)
-    else:
-        coeffs = tuple(_as_scalar(s, RATIONAL) for s in raw)
-    return Jet(coeffs, carrier)
+    return Jet(*_read_coeffs(doc, 0))
 
 
 def jet_to_json(f: Jet) -> str:
@@ -413,16 +418,7 @@ def field_to_dict(X: FieldJet) -> dict:
 
 
 def field_from_dict(doc: dict) -> FieldJet:
-    order = doc["order"]
-    raw = doc["coeffs"]
-    carrier = doc.get("carrier", RATIONAL)
-    if len(raw) != order - 1:
-        raise OrderError(f"field coeffs length {len(raw)} != order-1 = {order - 1}")
-    if carrier == INTEGER:
-        coeffs = tuple(int(s) for s in raw)
-    else:
-        coeffs = tuple(_as_scalar(s, RATIONAL) for s in raw)
-    return FieldJet(coeffs, carrier)
+    return FieldJet(*_read_coeffs(doc, 1))
 
 
 def field_to_json(X: FieldJet) -> str:

@@ -19,12 +19,15 @@ The operations here are the numeric counterparts of the exact jet algebra:
 
 tau is computed by splitting off the Laurent part of 1/X at the flat end:
 the terms y^{-(l+1)}..y^{-1} are integrated in closed form and only a
-bounded remainder goes to adaptive quadrature.  Fields that are exact
+bounded remainder goes to adaptive quadrature.  The split is computed
+exactly on the jets kernel, once per field, on first use, and kept on the
+field itself (``NumericField._tau_scheme``).  Fields that are exact
 polynomials carry their coefficients as exact rationals, in which case the
 remainder is assembled without any cancellation at all.
 
-Evaluators are immutable and shared; no operation mutates state, so grid
-sweeps may run concurrently.
+Fields, germs and splits are immutable and shared; a split is built once
+and never changed (a race at worst builds it twice), no operation mutates
+state, so grid sweeps may run concurrently.
 """
 
 from __future__ import annotations
@@ -33,16 +36,23 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from . import jets
+
 # contract: |tau(flow_map(...)) - t| stays below this times the size (at least
 # 1) of the time-coordinate values that tau subtracts, since float rounding of
 # values near 0, where the coordinate grows like 1/x^ell, is proportional to it
 TAU_ABS_TOL = 1e-10
+
+# the trapezoidal rule converges geometrically here, so more points than this
+# only cost memory (three complex arrays of this length)
+MAX_CONTOUR_POINTS = 1 << 20
 
 
 class NumericsError(RuntimeError):
@@ -127,6 +137,12 @@ class NumericField:
         if not 0.0 < x <= self.x_max:
             raise DomainError(f"{self.name}: point {x} outside (0, {self.x_max}]")
 
+    @cached_property
+    def _tau_scheme(self) -> _TauScheme:
+        # built on first use and stored in the instance __dict__, which a
+        # frozen dataclass allows; dataclasses.replace starts a fresh one
+        return _TauScheme(self)
+
 
 def _horner(coeffs, power=0):
     """Evaluator x -> (coeffs[0] + coeffs[1] x + ...) * x**power by Horner's rule.
@@ -173,66 +189,52 @@ def field_from_jet(X, name: str = "", x_max: float = 1.0) -> NumericField:
 # the time coordinate tau and flows
 
 
-def _reciprocal_series(r: Sequence, upto: int):
-    """Coefficients e_0..e_upto of 1/(1 + r_1 y + r_2 y^2 + ...)."""
-    e = [r[0] * 0 + 1]  # one, in the arithmetic of the inputs
-    for m in range(1, upto + 1):
-        acc = 0
-        for i in range(1, m + 1):
-            ri = r[i] if i < len(r) else 0
-            if ri != 0:
-                acc += ri * e[m - i]
-        e.append(-acc)
-    return e
-
-
 class _TauScheme:
-    """Precomputed split 1/X = (Laurent part) + (bounded remainder)."""
+    """The split 1/X = (Laurent part) + (bounded remainder) of one field.
+
+    With S = X / (c y^(ell+1)), c the leading coefficient, and E = 1/S
+    through degree ell, the Laurent part is sum_j d_j y^(-j) with
+    d_(ell+1-i) = E_i / c.  Both kinds of field compute E exactly on the
+    jets kernel; black-box coefficients enter through Fraction(float),
+    which is exact.  Only the remainder evaluator differs between them.
+    """
 
     def __init__(self, field: NumericField):
-        self.field = field
+        ell = field.ell
+        coeffs = field.poly or tuple(map(Fraction, (field.leading,) + field.tail))
+        c = coeffs[0]
+        s = [ci / c for ci in coeffs]  # S, s_0 = 1
+        e = jets._recip(s, ell)
+        self.d = {ell + 1 - i: float(ei / c) for i, ei in enumerate(e)}
         # black-box evaluators (no exact polynomial) carry float noise that
         # the quadrature cannot resolve below ~1e-11
         self.epsabs = 1e-13 if field.poly else 1e-11
         self.epsrel = 1e-12 if field.poly else 1e-9
-        ell, c = field.ell, field.leading
         if field.poly:
-            s = [Fraction(ci) / field.poly[0] for ci in field.poly]  # S, s_0 = 1
-            e = _reciprocal_series(s, ell)
             # U = 1 - E*S vanishes through degree ell exactly; T = U / y^{ell+1}
-            u = [Fraction(0)] * (ell + len(s))
-            for i, ei in enumerate(e):
-                for j, sj in enumerate(s):
-                    if i + j < len(u):
-                        u[i + j] += ei * sj
-            u[0] -= 1
+            u = [-v for v in jets._mul(e, s, ell + len(s) - 1)]
+            u[0] += 1
             assert all(ui == 0 for ui in u[: ell + 1])
-            num = _horner([float(-ui) for ui in u[ell + 1 :]])
+            num = _horner([float(ui) for ui in u[ell + 1 :]])
             den = _horner([float(si) for si in s])
 
-            def remainder(y, _c=float(field.poly[0])):
+            def remainder(y, _c=float(c)):
                 return num(y) / (_c * den(y))
 
-            self.remainder = remainder
-            self.d = {ell + 1 - i: float(Fraction(ei) / field.poly[0]) for i, ei in enumerate(e)}
         else:
-            r = [1.0] + [ci / c for ci in field.tail]
-            e = _reciprocal_series(r, ell)
-            d = {ell + 1 - i: e[i] / c for i in range(ell + 1)}
-            self.d = d
             # Laurent part P(y) = sum_j d_j y^{-j}; the remainder 1/X - P is
             # bounded when the tail coefficients are complete through c_{2ell+1}
             # and merely integrable otherwise.
-            powers = sorted(d, reverse=True)
+            powers = sorted(self.d, reverse=True)
 
-            def remainder(y, _d=d, _p=tuple(powers), _f=field.func):
+            def remainder(y, _d=self.d, _p=tuple(powers), _f=field.func):
                 u = 1.0 / y
                 p = 0.0
                 for j in _p:
                     p += _d[j] * u**j
                 return 1.0 / _f(y) - p
 
-            self.remainder = remainder
+        self.remainder = remainder
 
     def antiderivative(self, y: float) -> float:
         """Closed-form integral of the Laurent part."""
@@ -245,29 +247,13 @@ class _TauScheme:
         return acc
 
 
-_TAU_CACHE: dict = {}
-
-
-def _scheme(field: NumericField) -> _TauScheme:
-    # memo only: scheme construction is pure and idempotent, so a race at
-    # worst duplicates work; fields are immutable, keyed by identity
-    key = id(field)
-    sch = _TAU_CACHE.get(key)
-    if sch is None or sch.field is not field:
-        if len(_TAU_CACHE) > 256:
-            _TAU_CACHE.clear()
-        sch = _TauScheme(field)
-        _TAU_CACHE[key] = sch
-    return sch
-
-
 def tau(field: NumericField, x0: float, x: float) -> float:
     """Time coordinate tau(x) = int_{x0}^x dy / X(y)."""
     field.check_point(x0)
     field.check_point(x)
     if x == x0:
         return 0.0
-    sch = _scheme(field)
+    sch = field._tau_scheme
     main = sch.antiderivative(x) - sch.antiderivative(x0)
     corr, _err = quad(sch.remainder, x0, x, epsabs=sch.epsabs, epsrel=sch.epsrel, limit=200)
     return main + corr
@@ -303,17 +289,16 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
                 raise ReachabilityError("bracket for the time map collapsed to 0")
         else:
             raise ReachabilityError("could not bracket the time map toward 0")
-        root = brentq(g, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
     else:
         lo, hi = x0, field.x_max
         if g(hi) * g(lo) > 0:
             raise ReachabilityError(
                 f"time {t} exceeds the reachable range within (0, {field.x_max}]"
             )
-        root = brentq(g, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    root = brentq(g, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
     residual = tau(field, x0, root) - target
-    sch = _scheme(field)
+    sch = field._tau_scheme
     bound = TAU_ABS_TOL * max(1.0, abs(sch.antiderivative(x0)), abs(sch.antiderivative(root)))
     if abs(residual) > bound:
         raise NumericsError(f"time-map residual {residual:.3e} exceeds {bound:.3e}")
@@ -448,8 +433,10 @@ def estimate_resit(
     germ.check_point(x0)
     ell = germ.ell if ell is None else ell
     a = germ.a if a is None else a
-    if a <= 0:
-        raise DomainError("leading magnitude a must be positive")
+    if ell < 1:
+        raise DomainError(f"flatness order ell must be at least 1, not {ell}")
+    if not (math.isfinite(a) and a > 0):
+        raise DomainError(f"leading magnitude a must be finite and positive, not {a}")
     ns = sorted(set(int(n) for n in schedule))
     if not ns or ns[0] <= 1:
         raise DomainError("schedule entries must be integers > 1 (log n degenerates)")
@@ -535,6 +522,8 @@ def contour_residue(f: Callable[[complex], complex], radius: float, points: int 
         raise DomainError("radius must be positive")
     if points < 8:
         raise DomainError("need at least 8 sample points")
+    if points > MAX_CONTOUR_POINTS:
+        raise DomainError(f"at most {MAX_CONTOUR_POINTS} sample points, not {points}")
     theta = 2.0 * np.pi * np.arange(points) / points
     z = radius * np.exp(1j * theta)
     w = np.array([zi - f(zi) for zi in z])

@@ -181,6 +181,47 @@ def test_contour_non_finite_is_an_error(capsys):
     assert strict_error_code(out) == "ContourError"
 
 
+def test_bad_jet_json_gives_strict_error(capsys):
+    cases = [
+        (("exp", "--field", "[1]", "--time", "1"), "CoefficientError"),
+        (("exp", "--field", '{"order":"x","coeffs":[]}', "--time", "1"), "OrderError"),
+        (("exp", "--field", '{"coeffs":["1"]}', "--time", "1"), "CoefficientError"),
+        (("residue", "--jet", '{"order":2,"coeffs":5}'), "CoefficientError"),
+        (("residue", "--jet", '{"order":2,"coeffs":["1","1/2"],"carrier":"integer"}'), "CoefficientError"),
+    ]
+    for argv, expected in cases:
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert strict_error_code(out) == expected
+
+
+def test_out_of_range_sizes_are_refused(capsys):
+    cases = [
+        (("residue", "--expr", "x-x^2", "--order", "-3"), "OrderError"),
+        (("residue", "--expr", "x-x^2", "--order", "0"), "OrderError"),
+        (("residue", "--catalog", "moebius", "--order", "0"), "OrderError"),
+        # refused before any array is built
+        (("contour", "--poly", "1,1", "--radius", "0.1", "--points", "100000000000"), "DomainError"),
+    ]
+    for argv, expected in cases:
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert strict_error_code(out) == expected
+
+
+def test_non_finite_numbers_are_never_printed(capsys):
+    cases = [
+        (("szekeres", "--catalog", "quadratic", "--x0", "0.1", "--tol", "nan", "--n", "10"), "ValueError"),
+        (("estimate-resit", "--catalog", "quadratic", "--x0", "0.1", "--a", "nan", "--schedule", "10,100"), "DomainError"),
+        (("estimate-resit", "--catalog", "quadratic", "--x0", "0.1", "--a", "inf", "--schedule", "10,100"), "DomainError"),
+        (("estimate-resit", "--catalog", "quadratic", "--x0", "0.1", "--ell", "0", "--schedule", "10,100"), "DomainError"),
+    ]
+    for argv, expected in cases:
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert strict_error_code(out) == expected
+
+
 def test_deep_nesting_is_a_parse_error(capsys):
     for text in ("(" * 2000 + "x" + ")" * 2000, "-" * 2000 + "x"):
         code, out = run_cli(capsys, "residue", f"--expr={text}", "--order", "3")

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from germres import Jet
+from germres import Jet, OrderError
 from germres.expr import NotASeries, ParseError, parse_expr, parse_germ
 
 
@@ -58,6 +58,12 @@ def test_series_expansion_exact():
 def test_series_decimal_literals_are_exact():
     e = parse_expr("x + 0.5*x^2")
     assert e.to_jet(2) == Jet.of(1, F(1, 2))
+
+
+def test_series_order_must_be_positive():
+    for order in (0, -3):
+        with pytest.raises(OrderError):
+            parse_expr("x - x^2").to_jet(order)
 
 
 def test_series_rejects_log():

@@ -22,6 +22,7 @@ from germres import (
     jets,
     pullback_field,
 )
+from germres.jets import CoefficientError
 from helpers import (
     fraction_mul,
     fraction_subst,
@@ -335,6 +336,33 @@ def test_json_rejects_bad_shapes():
         jet_from_json('{"order": 3, "coeffs": ["1", "2"]}')
     with pytest.raises(Exception):
         jet_from_json('{"order": 1, "coeffs": ["0"]}')
+    with pytest.raises(CoefficientError):
+        jet_from_json('{"order": 2, "coeffs": ["1", "1/2"], "carrier": "integer"}')
+
+
+def test_json_reader_is_shared_by_jets_and_fields():
+    shapes = [
+        ("[1]", CoefficientError),
+        ('{"coeffs": ["1"]}', CoefficientError),
+        ('{"order": 2, "coeffs": 5}', CoefficientError),
+        ('{"order": "x", "coeffs": []}', OrderError),
+        ('{"order": true, "coeffs": ["1"]}', OrderError),
+    ]
+    for text, error in shapes:
+        for reader in (jet_from_json, field_from_json):
+            with pytest.raises(error):
+                reader(text)
+    # the only difference is the degree offset: a field jet starts at x^2
+    assert jet_from_json('{"order": 2, "coeffs": ["1", "2"]}') == Jet.of(1, 2)
+    assert field_from_json('{"order": 3, "coeffs": ["1", "2"]}') == FieldJet.of(1, 2)
+    with pytest.raises(OrderError):
+        field_from_json('{"order": 2, "coeffs": ["1", "2"]}')
+
+
+def test_fraction_coefficients_are_kept():
+    a = F(-3, 4)
+    assert Jet((F(1), a)).coeffs[1] is a
+    assert FieldJet((a,)).coeffs[0] is a
 
 
 def test_floats_refused():

@@ -1,7 +1,9 @@
 """Numeric dynamics: time maps, Szekeres iteration, orbit estimator,
 contour residues, conjugacies, diagnostics."""
 
+import dataclasses
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -27,8 +29,10 @@ from germres import (
 )
 from germres.catalog import szekeres_numeric_field
 from germres.numerics import (
+    MAX_CONTOUR_POINTS,
     ContourError,
     DomainError,
+    NumericField,
     ProductUnderflow,
     ReachabilityError,
 )
@@ -80,18 +84,39 @@ def test_tau_against_high_precision_quadrature():
     import mpmath
 
     mpmath.mp.dps = 40
+    # an ell = 3 polynomial field; -y^4 (1 - y/2 + y^2/3) has no zero for y > 0
+    ell3 = field_from_coeffs("ell3", {4: -1, 5: F(1, 2), 6: F(-1, 3)})
+    # a black-box field whose tail is complete through c_{2 ell + 1}
+    black_box = NumericField(name="bb", func=lambda y: -(y**2) - y**3, ell=1, leading=-1.0, tail=(-1.0,))
     cases = [
-        ("neg_x2_x3", lambda y: 1 / (-(y**2) - y**3), (0.4, 0.01), (0.3, 1e-4)),
-        ("neg_x3", lambda y: -1 / y**3, (0.5, 0.02), (0.3, 1e-3)),
+        (catalog_field("neg_x2_x3"), lambda y: 1 / (-(y**2) - y**3), 1e-12, (0.4, 0.01), (0.3, 1e-4)),
+        (catalog_field("neg_x3"), lambda y: -1 / y**3, 1e-12, (0.5, 0.02), (0.3, 1e-3)),
+        (ell3, lambda y: 1 / (-(y**4) + y**5 / 2 - y**6 / 3), 1e-12, (0.5, 0.05), (0.3, 1e-2)),
+        # black-box quadrature tolerance (epsrel 1e-9)
+        (black_box, lambda y: 1 / (-(y**2) - y**3), 1e-9, (0.4, 0.01), (0.3, 1e-4)),
     ]
-    for tag, integrand, *pairs in cases:
-        X = catalog_field(tag)
+    for X, integrand, rel, *pairs in cases:
         for x0, x in pairs:
             ours = tau(X, x0, x)
             pts = sorted({x0, x, 1e-2, 1e-3}, reverse=x < x0)
             pts = [p for p in pts if min(x0, x) <= p <= max(x0, x)]
             ref = float(mpmath.quad(integrand, pts))
-            assert abs(ours - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(ours - ref) <= rel * max(1.0, abs(ref))
+
+
+def test_tau_split_built_once_per_field():
+    X = NumericField(name="bb", func=lambda y: -(y**2) - y**3, ell=1, leading=-1.0, tail=(-1.0,))
+    split = X._tau_scheme
+    assert split.d == {2: -1.0, 1: 1.0}  # 1/X = -1/y^2 + 1/y - 1 + ...
+    tau(X, 0.4, 0.01)
+    assert X._tau_scheme is split
+    # a replaced evaluator gets a split of its own and is the one integrated
+    Y = dataclasses.replace(X, func=lambda y: -(y**2) - 2 * y**3)
+    assert Y._tau_scheme is not split
+    # 1/(y^2 (1 + 2y)) = 1/y^2 - 2/y + 4/(1 + 2y)
+    ref = 1 / 0.01 - 1 / 0.4 + 2 * math.log(0.01 / 0.4 * (1 + 2 * 0.4) / (1 + 2 * 0.01))
+    assert abs(tau(Y, 0.4, 0.01) - ref) <= 1e-9 * abs(ref)
+    assert abs(tau(X, 0.4, 0.01) - ref) > 1e-3
 
 
 def test_flow_group_law_numeric():
@@ -277,6 +302,12 @@ def test_estimator_rejects_degenerate_schedule():
         estimate_resit(moebius(), 0.5, [1, 10])
 
 
+def test_estimator_rejects_bad_ell_and_a():
+    for kwargs in ({"ell": 0}, {"ell": -1}, {"a": 0.0}, {"a": math.nan}, {"a": math.inf}, {"a": -1.0}):
+        with pytest.raises(DomainError):
+            estimate_resit(moebius(), 0.5, [10, 100], **kwargs)
+
+
 def test_estimator_longdouble_path():
     est64 = estimate_resit(quadratic(), 0.5, [10**4])
     est80 = estimate_resit(quadratic(), 0.5, [10**4], use_longdouble=True)
@@ -343,6 +374,13 @@ def test_contour_detects_fixed_point_on_circle():
     r = 0.3
     with pytest.raises(ContourError):
         contour_residue(lambda z: z + (z - r) * z**2, r, 64)
+
+
+def test_contour_refuses_too_many_points():
+    # refused before any array is built, so the count is never allocated
+    for points in (MAX_CONTOUR_POINTS + 1, 10**11):
+        with pytest.raises(DomainError):
+            contour_residue(lambda z: z + z * z, 0.1, points)
 
 
 def test_contour_refuses_non_finite_value():
