@@ -18,8 +18,11 @@ The operations here are the numeric counterparts of the exact jet algebra:
   twice-differentiable conjugacy.
 
 tau is computed by splitting off the Laurent part of 1/X at the flat end:
-the terms y^{-(l+1)}..y^{-1} are integrated in closed form and only a
-bounded remainder goes to adaptive quadrature.  The split is computed
+the terms y^{-(l+1)}..y^{-1} are integrated in closed form and only the
+remainder goes to adaptive quadrature, in s = log y.  A black-box field's
+remainder is O(1/y) (its residue need not be the one its tail coefficients
+give), which in y would make the quadrature subdivide every decade between
+x and x0; in log y it is bounded.  The split is computed
 exactly on the jets kernel, once per field, on first use, and kept on the
 field itself (``NumericField._tau_scheme``).  Fields that are exact
 polynomials carry their coefficients as exact rationals, in which case the
@@ -190,13 +193,25 @@ def field_from_jet(X, name: str = "", x_max: float = 1.0) -> NumericField:
 
 
 class _TauScheme:
-    """The split 1/X = (Laurent part) + (bounded remainder) of one field.
+    """The split 1/X = (Laurent part) + (remainder) of one field.
 
     With S = X / (c y^(ell+1)), c the leading coefficient, and E = 1/S
     through degree ell, the Laurent part is sum_j d_j y^(-j) with
     d_(ell+1-i) = E_i / c.  Both kinds of field compute E exactly on the
     jets kernel; black-box coefficients enter through Fraction(float),
     which is exact.  Only the remainder evaluator differs between them.
+
+    The remainder r is integrated in s = log y, as r(y) y ds.  For an exact
+    polynomial r is bounded; a black-box remainder is only O(1/y), since a
+    field computed pointwise (a fixed-depth Szekeres field is the pullback
+    of f - id by f^n) carries a residue that its tail coefficients do not
+    give.  In s both integrands are bounded, so the adaptive rule does not
+    subdivide the decades between x and x0.  The integration runs in
+    s = log(y / top), top = max(x0, x), so that no node exceeds top.
+
+    ``zero`` is the least float at or past the first zero of an exact
+    polynomial field in (0, x_max] (inf if it has none, and for black-box
+    fields); tau refuses intervals that reach it.
     """
 
     def __init__(self, field: NumericField):
@@ -210,6 +225,7 @@ class _TauScheme:
         # the quadrature cannot resolve below ~1e-11
         self.epsabs = 1e-13 if field.poly else 1e-11
         self.epsrel = 1e-12 if field.poly else 1e-9
+        self.zero = _first_zero(s, field.x_max) if field.poly else math.inf
         if field.poly:
             # U = 1 - E*S vanishes through degree ell exactly; T = U / y^{ell+1}
             u = [-v for v in jets._mul(e, s, ell + len(s) - 1)]
@@ -223,8 +239,8 @@ class _TauScheme:
 
         else:
             # Laurent part P(y) = sum_j d_j y^{-j}; the remainder 1/X - P is
-            # bounded when the tail coefficients are complete through c_{2ell+1}
-            # and merely integrable otherwise.
+            # bounded only if the evaluator's jet matches the tail through
+            # c_{2ell+1}, which a fixed-depth Szekeres field's does not
             powers = sorted(self.d, reverse=True)
 
             def remainder(y, _d=self.d, _p=tuple(powers), _f=field.func):
@@ -234,7 +250,11 @@ class _TauScheme:
                     p += _d[j] * u**j
                 return 1.0 / _f(y) - p
 
-        self.remainder = remainder
+        def integrand(s, top, _r=remainder, _exp=math.exp):
+            y = top * _exp(s)
+            return _r(y) * y
+
+        self.integrand = integrand
 
     def antiderivative(self, y: float) -> float:
         """Closed-form integral of the Laurent part."""
@@ -247,6 +267,67 @@ class _TauScheme:
         return acc
 
 
+def _first_zero(s, x_max: float) -> float:
+    """Least float z in (0, x_max] such that the polynomial S (exact
+    coefficients, ascending, S(0) = 1) vanishes somewhere in (0, z], or inf.
+
+    By Sturm's theorem the distinct zeros of S in (0, z] number V(0) - V(z),
+    V counting sign changes along the Sturm sequence; that count is exact
+    on integers, and the search bisects the floats of (0, x_max] with it.
+    Only signs matter, so every member is kept as a primitive integer
+    polynomial (positive multiples), which bounds the coefficient growth.
+    """
+    if len(s) < 2:
+        return math.inf
+    scale = math.lcm(*(c.denominator for c in s))
+    p = [int(c * scale) for c in reversed(s)]  # descending
+    seq = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
+    while len(seq[-1]) > 1:
+        r, b = list(seq[-2]), seq[-1]
+        lead, sign = abs(b[0]), (1 if b[0] > 0 else -1)
+        # r <- |lc b| r - sgn(lc b) r_0 b x^k until deg r < deg b: a positive
+        # multiple of the remainder of seq[-2] by b
+        while len(r) >= len(b):
+            c = sign * r[0]
+            r = [lead * ri - c * bi for ri, bi in zip(r, b + [0] * (len(r) - len(b)))][1:]
+        while r and r[0] == 0:
+            r.pop(0)
+        if not r:
+            break
+        g = math.gcd(*r)
+        seq.append([-ri // g for ri in r])
+
+    def changes(values):
+        signs = [v > 0 for v in values if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_zero = changes([q[-1] for q in seq])
+
+    def zeros_up_to(z):
+        # den^deg q * q(num/den), by homogeneous Horner
+        num, den = float(z).as_integer_ratio()
+        values = []
+        for q in seq:
+            acc, power = q[0], 1
+            for ci in q[1:]:
+                power *= den
+                acc = acc * num + ci * power
+            values.append(acc)
+        return at_zero - changes(values)
+
+    if not zeros_up_to(x_max):
+        return math.inf
+    lo, hi = 0.0, float(x_max)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if zeros_up_to(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
 def tau(field: NumericField, x0: float, x: float) -> float:
     """Time coordinate tau(x) = int_{x0}^x dy / X(y)."""
     field.check_point(x0)
@@ -254,8 +335,22 @@ def tau(field: NumericField, x0: float, x: float) -> float:
     if x == x0:
         return 0.0
     sch = field._tau_scheme
+    top = max(x0, x)
+    if top >= sch.zero:
+        raise DomainError(f"{field.name}: the field vanishes at {sch.zero:.17g}, inside (0, {top}]")
     main = sch.antiderivative(x) - sch.antiderivative(x0)
-    corr, _err = quad(sch.remainder, x0, x, epsabs=sch.epsabs, epsrel=sch.epsrel, limit=200)
+    try:
+        corr, _err = quad(
+            sch.integrand,
+            math.log(x0 / top),
+            math.log(x / top),
+            args=(top,),
+            epsabs=sch.epsabs,
+            epsrel=sch.epsrel,
+            limit=200,
+        )
+    except ZeroDivisionError:
+        raise DomainError(f"{field.name}: the field vanishes in floating point inside (0, {top}]") from None
     return main + corr
 
 
@@ -291,7 +386,20 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
             raise ReachabilityError("could not bracket the time map toward 0")
     else:
         lo, hi = x0, field.x_max
-        if g(hi) * g(lo) > 0:
+        zero = field._tau_scheme.zero
+        if hi >= zero:
+            # the flow approaches a zero of the field but takes infinite
+            # time to reach it: halve the gap to it, as toward 0
+            gap = zero - x0
+            hi = zero - gap / 2
+            while g(hi) * g(lo) > 0:
+                gap /= 2
+                hi = zero - gap / 2
+                if gap <= 4 * math.ulp(zero):
+                    raise ReachabilityError(
+                        f"time {t} is not reached before the field vanishes at {zero:.17g}"
+                    )
+        elif g(hi) * g(lo) > 0:
             raise ReachabilityError(
                 f"time {t} exceeds the reachable range within (0, {field.x_max}]"
             )
@@ -351,25 +459,33 @@ def szekeres_field(germ: GermSpec, x: float, n_max: int = 100_000, tol: float = 
     The derivative of the n-th iterate is accumulated as a running product
     of Df along the orbit.  Stops when successive values differ by less
     than ``tol``; otherwise returns the n_max value with converged=False.
+    With ``tol`` not positive nothing can converge, so the loop carries
+    only the orbit point and the product, and the value is divided once,
+    from the last step (the fixed-depth evaluator of
+    ``catalog.szekeres_numeric_field`` runs this way).
     """
     if not germ.is_contracting():
         raise DomainError(f"{germ.name}: szekeres_field needs a contracting germ")
     germ.check_point(x)
-    product = 1.0
-    prev = None
-    value = None
+    increment, deriv = germ.increment, germ.deriv
+    watch = tol > 0
+    product = last = 1.0
+    prev = step = None
     for n in range(n_max):
-        step = germ.increment(x)
-        value = step / product
-        if prev is not None and abs(value - prev) < tol:
-            return SzekeresResult(value=value, iterations=n, converged=True)
-        prev = value
-        product *= germ.deriv(x)
+        step = increment(x)
+        if watch:
+            value = step / product
+            if prev is not None and abs(value - prev) < tol:
+                return SzekeresResult(value=value, iterations=n, converged=True)
+            prev = value
+        last = product
+        product *= deriv(x)
         if not (1e-280 < abs(product) < 1e280):
             raise ProductUnderflow(
                 f"derivative product left the floating range at n={n} (|P|={abs(product):.3e})"
             )
         x = x + step
+    value = None if step is None else step / last
     return SzekeresResult(value=value, iterations=n_max, converged=False)
 
 

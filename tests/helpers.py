@@ -204,3 +204,33 @@ def sympy_resit(coeffs):
     lead = f.coeff(X, ell + 1)
     mu = f.coeff(X, 2 * ell + 1) / lead**2
     return _to_fraction(sp.Rational(ell + 1, 2) - mu)
+
+
+# -- the Szekeres loop as first written ---------------------------------------
+
+
+def reference_szekeres(germ, x, n_max=100_000, tol=1e-12):
+    """The straightforward Szekeres loop, dividing at every step; the
+    package's loop must match it bit for bit.  Returns the package's
+    SzekeresResult type and raises its ProductUnderflow."""
+    from germres.numerics import DomainError, ProductUnderflow, SzekeresResult
+
+    if not germ.is_contracting():
+        raise DomainError(f"{germ.name}: szekeres_field needs a contracting germ")
+    germ.check_point(x)
+    product = 1.0
+    prev = None
+    value = None
+    for n in range(n_max):
+        step = germ.increment(x)
+        value = step / product
+        if prev is not None and abs(value - prev) < tol:
+            return SzekeresResult(value=value, iterations=n, converged=True)
+        prev = value
+        product *= germ.deriv(x)
+        if not (1e-280 < abs(product) < 1e280):
+            raise ProductUnderflow(
+                f"derivative product left the floating range at n={n} (|P|={abs(product):.3e})"
+            )
+        x = x + step
+    return SzekeresResult(value=value, iterations=n_max, converged=False)

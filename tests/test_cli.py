@@ -264,6 +264,31 @@ def test_power_large_exponent_finishes():
     assert jet["coeffs"] == ["1", str(-n), str(n * n - n)]
 
 
+def test_huge_constant_power_is_refused_quickly():
+    # 3^100000000 has ~48 million digits; squaring it exactly would run for
+    # minutes, and no integer past the int-to-str limit can be printed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(germres.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["residue", "--expr", "x + 3^100000000*x^2", "--order", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "germres.cli", *argv], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert proc.returncode == 1
+    assert strict_error_code(proc.stdout) == "CoefficientError"
+
+
+def test_conjugate_across_a_zero_of_the_field_is_refused(capsys):
+    # -4/7 x^2 + 9 x^3 vanishes at 4/63 < x0
+    argv = ("conjugate", "--X", "poly:0,-4/7,9", "--Y", "poly:0,-1", "--x0", "0.15", "--grid", "0.003")
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert strict_error_code(out) == "DomainError"
+    # below the zero the same field conjugates
+    code, out = run_cli(capsys, *argv[:6], "0.05", "--grid", "0.003")
+    assert code == 0
+    assert strict_json(out)["result"]["samples"][0][0] == 0.003
+
+
 def test_csv_unavailable_elsewhere(capsys):
     code, out = run_cli(
         capsys, "residue", "--expr", "x - x^2", "--format", "csv"

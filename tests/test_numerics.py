@@ -10,6 +10,7 @@ import pytest
 
 from germres import (
     GermSpec,
+    Jet,
     canonical_conjugacy,
     catalog_field,
     contour_residue,
@@ -36,6 +37,8 @@ from germres.numerics import (
     ProductUnderflow,
     ReachabilityError,
 )
+
+from helpers import reference_szekeres
 
 
 # -- time maps ----------------------------------------------------------------
@@ -117,6 +120,109 @@ def test_tau_split_built_once_per_field():
     ref = 1 / 0.01 - 1 / 0.4 + 2 * math.log(0.01 / 0.4 * (1 + 2 * 0.4) / (1 + 2 * 0.01))
     assert abs(tau(Y, 0.4, 0.01) - ref) <= 1e-9 * abs(ref)
     assert abs(tau(X, 0.4, 0.01) - ref) > 1e-3
+
+
+def moebius_szekeres_tau(n, x0, x):
+    # depth-n field of x/(1+x): X(y) = -y^2 (1 + (n-1) y) / (1 + n y), whose
+    # 1/X integrates to 1/y - log(y / (1 + (n-1) y))
+    def T(y):
+        return 1 / y - math.log(y / (1 + (n - 1) * y))
+
+    return T(x) - T(x0)
+
+
+def test_tau_on_szekeres_fields_against_closed_form():
+    for n in (10, 100, 1000, 10**4):
+        X = szekeres_numeric_field(moebius(), n)
+        for x in np.geomspace(1e-5, 0.05, 7):
+            ref = moebius_szekeres_tau(n, 0.1, x)
+            # black-box quadrature tolerance (epsrel 1e-9)
+            assert abs(tau(X, 0.1, x) - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_tau_from_the_end_of_the_domain_on_a_szekeres_field():
+    # x0 = x_max puts quadrature nodes next to the end of the domain, where
+    # the Szekeres evaluator refuses any point past x_max
+    n = 100
+    X = szekeres_numeric_field(moebius(), n)
+    for x in (0.999999, 0.5, 1e-3):
+        ref = moebius_szekeres_tau(n, X.x_max, x)
+        assert abs(tau(X, X.x_max, x) - ref) <= 1e-9 * max(1.0, abs(ref))
+    # exp(log(0.1)) rounds above 0.1, so nodes placed in log y from log(0.1)
+    # would leave the domain on a short interval
+    from germres.catalog import germ_from_jet
+
+    X = szekeres_numeric_field(germ_from_jet(Jet.of(1, -1, 1), x_max=0.1), n)
+    for x in (0.1 * (1 - 1e-15), 0.1 * (1 - 1e-9)):
+        # tau subtracts time-coordinate values of size ~10 (TAU_ABS_TOL)
+        linear = (x - 0.1) / X.func(0.1)
+        assert abs(tau(X, 0.1, x) - linear) <= 1e-12
+        assert tau(X, x, 0.1) == -tau(X, 0.1, x)
+
+
+def test_tau_on_a_szekeres_field_needs_few_evaluations():
+    # the black-box remainder is O(1/y); integrated in log y it is bounded
+    # and one tau over four decades stays within five 21-point rules
+    calls = [0]
+    base = szekeres_numeric_field(moebius(), 100)
+
+    def counted(y):
+        calls[0] += 1
+        return base.func(y)
+
+    X = dataclasses.replace(base, func=counted)
+    tau(X, 1e-5, 0.1)
+    assert 0 < calls[0] <= 105
+
+
+def test_tau_refuses_to_cross_a_zero_of_a_polynomial_field():
+    # -4/7 y^2 + 9 y^3 vanishes at 4/63; building the field is fine, and so
+    # is tau below the zero
+    X = field_from_coeffs("z", {2: F(-4, 7), 3: 9})
+    assert tau(X, 0.06, 0.003) > 0
+    for x0, x in ((0.15, 0.003), (0.003, 0.15), (float(F(4, 63)), 0.01), (0.01, 1.0)):
+        with pytest.raises(DomainError, match="vanishes"):
+            tau(X, x0, x)
+
+
+def test_flow_toward_a_zero_of_the_field_approaches_it():
+    # y^2 - 3 y^3 vanishes at 1/3, which its flow approaches in infinite time
+    # through tau = -1/y + 3 log y - 3 log(1 - 3y); the mirrored contracting
+    # field reaches the same points at negative times
+    from scipy.optimize import brentq
+
+    def T(z):
+        return -1 / z + 3 * math.log(z) - 3 * math.log(1 - 3 * z)
+
+    X = field_from_coeffs("e", {2: 1, 3: -3})
+    mirror = field_from_coeffs("c", {2: -1, 3: 3})
+    for t in (0.5, 1.0, 5.0, 20.0):
+        ref = brentq(lambda z: T(z) - T(0.1) - t, 0.1, 1 / 3 - 1e-15, xtol=1e-300, rtol=1e-15)
+        assert abs(flow_map(X, 0.1, t) - ref) <= 1e-12 * ref
+        assert abs(flow_map(mirror, 0.1, -t) - ref) <= 1e-12 * ref
+    with pytest.raises(ReachabilityError):
+        flow_map(X, 0.1, 1000.0)
+    with pytest.raises(DomainError):
+        flow_map(X, 0.4, 1.0)  # starts past the zero
+
+
+def test_first_zero_is_the_least_float_at_or_past_the_zero():
+    from germres.numerics import _first_zero
+
+    def brackets(coeffs, at_least):
+        # the float found is past the zero, the float below it is not
+        z = _first_zero([F(c) for c in coeffs], 1.0)
+        return at_least(F(z)) and not at_least(F(math.nextafter(z, 0.0)))
+
+    assert brackets((1, 0, -2), lambda y: 2 * y * y >= 1)  # simple zero 1/sqrt(2)
+    assert brackets((1, -6, 9), lambda y: y >= F(1, 3))  # double zero, no sign change
+    assert brackets((1, -3, 2), lambda y: y >= F(1, 2))  # zeros 1/2 and 1
+    assert brackets((1, -4, 4), lambda y: y >= F(1, 2))  # double zero on a float
+    assert brackets((1, -(10**6)), lambda y: y >= F(1, 10**6))
+    assert brackets((1, -4, 0, 0, 0, 0, 7), lambda y: 1 - 4 * y + 7 * y**6 <= 0)
+    assert _first_zero([F(1), F(0), F(-2)], 0.7) == math.inf  # 1/sqrt(2) > 0.7
+    assert _first_zero([F(1), F(1), F(1)], 1.0) == math.inf
+    assert _first_zero([F(1)], 1.0) == math.inf
 
 
 def test_flow_group_law_numeric():
@@ -254,6 +360,43 @@ def test_szekeres_underflow_guard():
     )
     with pytest.raises(ProductUnderflow):
         szekeres_field(bad, 0.5, n_max=100, tol=0.0)
+
+
+def test_szekeres_loop_is_bit_identical_to_the_reference():
+    rng = np.random.default_rng(7)
+    germs = (quadratic(), moebius(), ramified_flow(2, 1))
+    for germ in germs:
+        for x in rng.uniform(1e-4, 0.4, 6):
+            x = float(x)
+            for n_max, tol in ((1, 0.0), (37, 0.0), (500, 0.0), (500, -1.0), (0, 0.0), (0, 1e-12)):
+                assert repr(szekeres_field(germ, x, n_max, tol)) == repr(reference_szekeres(germ, x, n_max, tol))
+            # a loose tolerance converges early; a tight one runs to n_max
+            loose = szekeres_field(germ, x, 10**5, 1e-6)
+            assert loose.converged and loose.iterations < 10**5
+            assert repr(loose) == repr(reference_szekeres(germ, x, 10**5, 1e-6))
+            tight = szekeres_field(germ, x, 300, 1e-300)
+            assert not tight.converged
+            assert repr(tight) == repr(reference_szekeres(germ, x, 300, 1e-300))
+
+
+def test_szekeres_underflow_message_matches_the_reference():
+    bad = GermSpec(
+        name="collapse",
+        func=lambda x: 0.5 * x,
+        deriv=lambda x: 1e-30,
+        increment=lambda x: -0.5 * x,
+        ell=1,
+        a=1.0,
+        orientation="contracting",
+        x_max=1.0,
+    )
+    for tol in (0.0, 1e-300):
+        with pytest.raises(ProductUnderflow) as ours:
+            szekeres_field(bad, 0.5, n_max=100, tol=tol)
+        with pytest.raises(ProductUnderflow) as ref:
+            reference_szekeres(bad, 0.5, n_max=100, tol=tol)
+        assert str(ours.value) == str(ref.value)
+        assert "n=9 " in str(ours.value)
 
 
 # -- orbit estimator -----------------------------------------------------------
