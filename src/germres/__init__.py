@@ -9,11 +9,10 @@ groups and the germ/field correspondence (:mod:`germres.flows`).
 Numeric side: Szekeres fields, time-coordinate flows and canonical
 conjugacies, the orbit-deviation residue estimator, contour residues and
 divergence diagnostics (:mod:`germres.numerics`), with a catalog of worked
-germs and fields (:mod:`germres.catalog`).  The numeric side loads on first
-use of one of its names, so the exact side runs without numpy and scipy.
+germs and fields (:mod:`germres.catalog`).  Importing the package loads
+neither numpy nor scipy, and neither do the exact side and the exact CLI
+verbs: the numeric functions that use them import them on first call.
 """
-
-import importlib
 
 from .jets import (
     INTEGER,
@@ -50,51 +49,32 @@ from .flows import (
     power,
     ramified_push,
 )
+from .numerics import (
+    GermSpec,
+    NumericField,
+    ResitEstimate,
+    SzekeresResult,
+    canonical_conjugacy,
+    contour_residue,
+    divergence_diagnostic,
+    estimate_resit,
+    field_from_coeffs,
+    field_from_jet,
+    flow_map,
+    orbit_bound_check,
+    szekeres_field,
+    tau,
+)
+from .catalog import (
+    catalog_field,
+    catalog_germ,
+    germ_from_jet,
+    moebius,
+    quadratic,
+    ramified_flow,
+)
+
 __version__ = "0.1.0"
-
-# The float engine (numpy, scipy) loads on first use of one of its names.
-_LAZY = {
-    "numerics": (
-        "GermSpec",
-        "NumericField",
-        "ResitEstimate",
-        "SzekeresResult",
-        "canonical_conjugacy",
-        "contour_residue",
-        "divergence_diagnostic",
-        "estimate_resit",
-        "field_from_coeffs",
-        "field_from_jet",
-        "flow_map",
-        "orbit_bound_check",
-        "szekeres_field",
-        "tau",
-    ),
-    "catalog": (
-        "catalog_field",
-        "catalog_germ",
-        "germ_from_jet",
-        "moebius",
-        "quadratic",
-        "ramified_flow",
-    ),
-}
-_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        return importlib.import_module(f".{name}", __name__)
-    if name in _LAZY_OWNER:
-        value = getattr(importlib.import_module(f".{_LAZY_OWNER[name]}", __name__), name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
-
 
 __all__ = [
     "CarrierMismatch",

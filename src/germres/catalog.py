@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .jets import Jet
 from .normal_form import tangency_order
 from .numerics import DomainError, GermSpec, NumericField, _horner, field_from_coeffs, szekeres_field
@@ -181,6 +179,8 @@ def germ_from_jet(jet: Jet, x_max: float = 0.4, name: str = "",
         deriv = _horner([n * c for n, c in enumerate(fl, start=1)])
     if increment is None:
         increment = _horner([-0.0, -0.0] + fl[1:])  # (...) * x * x
+
+    import numpy as np
 
     contracting = lead < 0
     for x in np.geomspace(1e-6, x_max, 25):

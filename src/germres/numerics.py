@@ -28,6 +28,9 @@ field itself (``NumericField._tau_scheme``).  Fields that are exact
 polynomials carry their coefficients as exact rationals, in which case the
 remainder is assembled without any cancellation at all.
 
+numpy and scipy are imported inside the functions that use them, so
+importing this module (as every CLI verb does) loads neither.
+
 Fields, germs and splits are immutable and shared; a split is built once
 and never changed (a race at worst builds it twice), no operation mutates
 state, so grid sweeps may run concurrently.
@@ -37,14 +40,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
-
-import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import jets
 
@@ -56,6 +56,15 @@ TAU_ABS_TOL = 1e-10
 # the trapezoidal rule converges geometrically here, so more points than this
 # only cost memory (three complex arrays of this length)
 MAX_CONTOUR_POINTS = 1 << 20
+
+# an exact polynomial field's first zero is found by a Sturm search over the
+# integer polynomial _sturm_base builds; its cost grows steeply with that
+# polynomial's degree and total bit length (a zero near 2^-b takes about b
+# bisection steps, each on numbers of about degree * b bits), so longer or
+# larger input is refused; within both bounds the search takes ~0.3 s at
+# worst on a 2-core Xeon
+MAX_POLY_DEGREE = 16
+MAX_POLY_BITS = 512
 
 
 class NumericsError(RuntimeError):
@@ -173,8 +182,15 @@ def field_from_coeffs(name: str, coeffs: dict, x_max: float = 1.0) -> NumericFie
     if not exact or min(exact) < 2:
         raise ValueError("need a nonzero polynomial with degrees >= 2")
     m, top = min(exact), max(exact)
+    if top - m > MAX_POLY_DEGREE:
+        raise DomainError(f"{name}: the degrees span {top - m}, more than {MAX_POLY_DEGREE}")
     ell = m - 1
     poly = tuple(exact.get(d, Fraction(0)) for d in range(m, top + 1))
+    bits = sum(c.bit_length() for c in _sturm_base([c / poly[0] for c in poly]))
+    if bits > MAX_POLY_BITS:
+        raise DomainError(
+            f"{name}: the coefficients over a common denominator take {bits} bits, more than {MAX_POLY_BITS}"
+        )
     fl = [float(c) for c in poly]
     func = _horner(fl, m)
     return NumericField(name=name, func=func, ell=ell, leading=fl[0], x_max=x_max, poly=poly)
@@ -267,6 +283,13 @@ class _TauScheme:
         return acc
 
 
+def _sturm_base(s) -> list:
+    """The polynomial S (exact coefficients, ascending) times the least
+    common denominator of its coefficients: integers, descending."""
+    scale = math.lcm(*(c.denominator for c in s))
+    return [int(c * scale) for c in reversed(s)]
+
+
 def _first_zero(s, x_max: float) -> float:
     """Least float z in (0, x_max] such that the polynomial S (exact
     coefficients, ascending, S(0) = 1) vanishes somewhere in (0, z], or inf.
@@ -279,8 +302,7 @@ def _first_zero(s, x_max: float) -> float:
     """
     if len(s) < 2:
         return math.inf
-    scale = math.lcm(*(c.denominator for c in s))
-    p = [int(c * scale) for c in reversed(s)]  # descending
+    p = _sturm_base(s)
     seq = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
     while len(seq[-1]) > 1:
         r, b = list(seq[-2]), seq[-1]
@@ -330,6 +352,8 @@ def _first_zero(s, x_max: float) -> float:
 
 def tau(field: NumericField, x0: float, x: float) -> float:
     """Time coordinate tau(x) = int_{x0}^x dy / X(y)."""
+    from scipy.integrate import quad
+
     field.check_point(x0)
     field.check_point(x)
     if x == x0:
@@ -360,6 +384,8 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
     Raises :class:`ReachabilityError` when the time-t image would leave
     (0, x_max].
     """
+    from scipy.optimize import brentq
+
     field.check_point(x0)
     if t == 0.0:
         return x0
@@ -403,7 +429,7 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
             raise ReachabilityError(
                 f"time {t} exceeds the reachable range within (0, {field.x_max}]"
             )
-    root = brentq(g, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    root = brentq(g, lo, hi, xtol=1e-300, rtol=4 * sys.float_info.epsilon)
 
     residual = tau(field, x0, root) - target
     sch = field._tau_scheme
@@ -513,7 +539,11 @@ def _orbit_values(germ: GermSpec, x0: float, ns: Sequence[int], use_longdouble: 
         return {n: float(germ.orbit(x0, n)) for n in ns}
     wanted = set(ns)
     out = {}
-    one = np.longdouble(1.0) if use_longdouble else 1.0
+    one = 1.0
+    if use_longdouble:
+        import numpy as np
+
+        one = np.longdouble(1.0)
     x = one * x0
     comp = one * 0.0
     for k in range(1, max(ns) + 1):
@@ -634,6 +664,8 @@ def orbit_bound_check(germ: GermSpec, x0: float, n_max: int) -> OrbitBoundReport
 def contour_residue(f: Callable[[complex], complex], radius: float, points: int = 256) -> complex:
     """(1/2 pi i) * integral over |z| = radius of dz / (z - f(z)), by the
     trapezoidal rule on equispaced points (spectrally accurate here)."""
+    import numpy as np
+
     if radius <= 0:
         raise DomainError("radius must be positive")
     if points < 8:
@@ -674,6 +706,8 @@ def divergence_diagnostic(
     between X and Y.  A slope of order one against log(1/x) witnesses
     differing residues (h is then not twice differentiable at 0); equal
     residues leave the ratio bounded."""
+    import numpy as np
+
     xs = sorted(set(float(g) for g in grid), reverse=True)
     if len(xs) < 2:
         raise DomainError("need at least two grid points")

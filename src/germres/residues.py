@@ -76,10 +76,7 @@ def resad(f: Jet, ell: int):
     """
     if f.carrier != RATIONAL:
         raise CarrierMismatch("resad divides by 2; use resad_bar over the integers")
-    _require_tangent(f, ell)
-    if f.order < 2 * ell + 1:
-        raise OrderError(f"order {f.order} < {2 * ell + 1}")
-    return Fraction(ell + 1, 2) * f[ell + 1] ** 2 - f[2 * ell + 1]
+    return Fraction(resad_bar(f, ell), 2)
 
 
 def resad_bar(f: Jet, ell: int):

@@ -289,6 +289,22 @@ def test_conjugate_across_a_zero_of_the_field_is_refused(capsys):
     assert strict_json(out)["result"]["samples"][0][0] == 0.003
 
 
+def test_oversized_poly_fields_are_refused_quickly():
+    # the Sturm search for a field's first zero grows steeply with degree and
+    # coefficient size; 64 terms of 30-digit rationals ran for minutes
+    many = "poly:-1," + ",".join(["1/3"] * 63)
+    digits = [f"{(-1) ** (k + 1) * (10**29 + 7 * k + 3)}/{10**29 + 11 * k + 1}" for k in range(64)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(germres.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for X in (many, "poly:" + ",".join(digits[:16]), "poly:" + ",".join(digits)):
+        argv = ["conjugate", "--X", X, "--Y", "poly:-1", "--x0", "0.1", "--grid", "0.05"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "germres.cli", *argv], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert proc.returncode == 1
+        assert strict_error_code(proc.stdout) == "DomainError"
+
+
 def test_csv_unavailable_elsewhere(capsys):
     code, out = run_cli(
         capsys, "residue", "--expr", "x - x^2", "--format", "csv"

@@ -31,6 +31,8 @@ from germres import (
 from germres.catalog import szekeres_numeric_field
 from germres.numerics import (
     MAX_CONTOUR_POINTS,
+    MAX_POLY_BITS,
+    MAX_POLY_DEGREE,
     ContourError,
     DomainError,
     NumericField,
@@ -223,6 +225,21 @@ def test_first_zero_is_the_least_float_at_or_past_the_zero():
     assert _first_zero([F(1), F(0), F(-2)], 0.7) == math.inf  # 1/sqrt(2) > 0.7
     assert _first_zero([F(1), F(1), F(1)], 1.0) == math.inf
     assert _first_zero([F(1)], 1.0) == math.inf
+
+
+def test_poly_field_size_is_bounded():
+    field_from_coeffs("d", {2: -1, 2 + MAX_POLY_DEGREE: 1})
+    with pytest.raises(DomainError, match="degrees span"):
+        field_from_coeffs("d", {2: -1, 3 + MAX_POLY_DEGREE: 1})
+    # S = 1 - 2^k y over the integers takes 1 + (k + 1) bits
+    field_from_coeffs("b", {2: -1, 3: 2 ** (MAX_POLY_BITS - 2)})
+    with pytest.raises(DomainError, match="bits"):
+        field_from_coeffs("b", {2: -1, 3: F(1, 2 ** (MAX_POLY_BITS - 1))})
+    # a slow shape within both bounds: full degree and a zero near 2^-480,
+    # which the Sturm search bisects its way down to
+    X = field_from_coeffs("w", {2: -1, 3: 2**480, **{d: 1 for d in range(4, 3 + MAX_POLY_DEGREE)}})
+    with pytest.raises(DomainError, match="vanishes"):
+        tau(X, 0.1, 0.05)
 
 
 def test_flow_group_law_numeric():

@@ -1,4 +1,4 @@
-"""Package surface: the exact side imports without the float engine."""
+"""Package surface: the exact side and the exact CLI verbs run without the float engine."""
 
 import json
 import os
@@ -8,15 +8,44 @@ import sys
 import germres
 
 FOOTPRINT = """
-import json, sys
+import contextlib, io, json, sys
 import germres
 from germres import Jet, reduce_germ, flow_in_G
 reduce_germ(Jet.of(1, 1, 0, 1, 0))
-exact = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+
+
+def float_engine():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+
+
+exact = float_engine()
+import germres.catalog, germres.cli, germres.expr, germres.numerics
+
+jet = '{"order":3,"coeffs":["1","-1","0"]}'
+field = '{"kind":"field","order":3,"coeffs":["-1","-1"]}'
+verbs = [
+    ["residue", "--expr", "x - x^2", "--order", "3"],
+    ["normal-form", "--catalog", "moebius"],
+    ["flow", "--jet", jet, "--time", "1/2"],
+    ["power", "--jet", jet, "--n", "3"],
+    ["field", "--jet", jet],
+    ["exp", "--field", field, "--time", "1"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [germres.cli.main(argv) for argv in verbs]
+cli = float_engine()
+germres.tau(germres.catalog_field("neg_x2"), 0.1, 0.05)
 names = {name: getattr(germres, name) is not None for name in germres.__all__}
 namespace = {}
 exec("from germres import *", namespace)
-print(json.dumps({"exact": exact, "names": names, "star": sorted(set(germres.__all__) - set(namespace))}))
+print(json.dumps({
+    "exact": exact,
+    "codes": codes,
+    "cli": cli,
+    "scipy_after_tau": "scipy" in sys.modules,
+    "names": names,
+    "star": sorted(set(germres.__all__) - set(namespace)),
+}))
 """
 
 
@@ -27,6 +56,9 @@ def test_exact_side_does_not_load_numpy_or_scipy():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["exact"] == []
+    assert doc["codes"] == [0] * 6
+    assert doc["cli"] == []
+    assert doc["scipy_after_tau"]
     assert all(doc["names"].values())
     assert doc["star"] == []
 
