@@ -2,9 +2,10 @@
 
 Exact side: truncated composition algebra over rationals or integers
 (:mod:`germres.jets`), coefficient homomorphisms and additive residues
-(:mod:`germres.residues`), normal-form reduction with the conjugacy
-invariants Res and Resit (:mod:`germres.normal_form`), flows in truncated
-groups and the germ/field correspondence (:mod:`germres.flows`).
+(:mod:`germres.residues`), the conjugacy invariants Res and Resit read
+from the fixed-point index and normal-form reduction
+(:mod:`germres.normal_form`), flows in truncated groups and the
+germ/field correspondence (:mod:`germres.flows`).
 
 Numeric side: Szekeres fields, time-coordinate flows and canonical
 conjugacies, the orbit-deviation residue estimator, contour residues and
@@ -41,7 +42,14 @@ from .residues import (
     schwarzian_at_origin,
     schwarzian_higher,
 )
-from .normal_form import ReductionTrace, ResidueReport, reduce_field, reduce_germ, tangency_order
+from .normal_form import (
+    ReductionTrace,
+    ResidueReport,
+    reduce_field,
+    reduce_germ,
+    residue_report,
+    tangency_order,
+)
 from .flows import (
     field_to_germ,
     flow_in_G,
@@ -130,6 +138,7 @@ __all__ = [
     "reduce_germ",
     "resad",
     "resad_bar",
+    "residue_report",
     "residues",
     "schwarzian_at_origin",
     "schwarzian_higher",

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .jets import Jet
+from .jets import Jet, OrderError, read_rational
 from .normal_form import tangency_order
 from .numerics import DomainError, GermSpec, NumericField, _horner, field_from_coeffs, szekeres_field
 
@@ -44,6 +44,8 @@ def _moebius_jet(order: int) -> Jet:
 
 def _ramified_jet(ell: int, t: Fraction, order: int) -> Jet:
     # x (1 + t x^ell)^(-1/ell) expanded by the binomial series
+    if order < 1:
+        raise OrderError(f"jet order must be at least 1, not {order}")
     coeffs = [Fraction(0)] * order
     coeffs[0] = Fraction(1)
     q = Fraction(-1, ell)
@@ -223,7 +225,7 @@ def catalog_germ(tag: str) -> GermSpec:
         rest = tag[len("ramified_flow_") :]
         parts = rest.split("_", 1)
         if len(parts) == 2:
-            return ramified_flow(int(parts[0]), Fraction(parts[1]))
+            return ramified_flow(int(parts[0]), read_rational(parts[1]))
     raise KeyError(f"unknown catalog germ {tag!r}")
 
 

@@ -2,7 +2,7 @@
 
 Verbs map one-to-one onto library operations::
 
-    residue        reduce a jet, print its residue report
+    residue        residue report of a jet, from its fixed-point index
     normal-form    reduction trace + residue report
     flow           time-t element of the flow through a jet
     power          integer composition power
@@ -43,8 +43,9 @@ from .jets import (
     field_to_dict,
     jet_from_json,
     jet_to_dict,
+    read_rational,
 )
-from .normal_form import reduce_germ
+from .normal_form import reduce_germ, residue_report
 from .residues import TangencyError
 
 _ERRORS = (
@@ -157,7 +158,7 @@ def _load_field(spec_text: str) -> numerics.NumericField:
         for degree, part in enumerate(raw.split(","), start=2):
             part = part.strip()
             if part:
-                coeffs[degree] = Fraction(part)
+                coeffs[degree] = read_rational(part)
         return numerics.field_from_coeffs(spec_text, coeffs)
     tag = spec_text[len("catalog:") :] if spec_text.startswith("catalog:") else spec_text
     return catalog.catalog_field(tag)
@@ -191,7 +192,7 @@ def _inputs_echo(args, names):
 
 def _cmd_residue(args):
     f = _load_jet(args)
-    _trace, report = reduce_germ(f)
+    report = residue_report(f)
     doc = {
         "inputs": _inputs_echo(args, ["jet", "expr", "catalog", "order"]),
         "result": {"jet": jet_to_dict(f), "report": _report_dict(report)},
@@ -213,7 +214,7 @@ def _cmd_normal_form(args):
 
 def _cmd_flow(args):
     f = _load_jet(args)
-    out = flow_in_G(f, Fraction(args.time))
+    out = flow_in_G(f, args.time)
     doc = {
         "inputs": _inputs_echo(args, ["jet", "expr", "catalog", "time"]),
         "result": {"jet": jet_to_dict(out)},
@@ -246,7 +247,7 @@ def _cmd_field(args):
 
 def _cmd_exp(args):
     X = field_from_dict(json.loads(args.field))
-    out = field_to_germ(X, Fraction(args.time))
+    out = field_to_germ(X, args.time)
     doc = {
         "inputs": _inputs_echo(args, ["field", "time"]),
         "result": {"jet": jet_to_dict(out)},
@@ -310,12 +311,19 @@ def _cmd_conjugate(args):
     return _emit(doc, args, csv_rows=rows, csv_header=("x", "h", "Dh"))
 
 
+def _float(c: Fraction) -> float:
+    try:
+        return float(c)
+    except OverflowError:
+        raise CoefficientError("a coefficient passes the float range (about 1.8e308)") from None
+
+
 def _cmd_contour(args):
     if args.poly:
-        coeffs = [complex(float(Fraction(part)), 0.0) for part in args.poly.split(",")]
+        coeffs = [complex(_float(read_rational(part)), 0.0) for part in args.poly.split(",")]
     elif args.jet:
         jet = jet_from_json(args.jet)
-        coeffs = [float(jet[n]) for n in range(1, jet.order + 1)]
+        coeffs = [_float(jet[n]) for n in range(1, jet.order + 1)]
     else:
         raise ValueError("need --poly or --jet")
     f = numerics._horner([-0j] + coeffs)  # (...) * z

@@ -20,7 +20,6 @@ fingerprint matching against the germ catalog.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -289,22 +288,13 @@ def _series(node, order):
             n = -n
         out = list(zero)
         out[0] = Fraction(1)
-        # a coefficient past the integer-to-string limit cannot be printed,
-        # and squaring it on would only take longer, so refuse at that size
-        digits = getattr(sys, "get_int_max_str_digits", int)() or 4300
-        max_bits = int(digits / math.log10(2)) + 1
         while n:  # square and multiply
             if n & 1:
                 out = jets._mul(out, base, order)
             n >>= 1
             if n:
                 base = jets._mul(base, base, order)
-            for c in (*base, *out):
-                if max(abs(c.numerator), c.denominator).bit_length() > max_bits:
-                    raise CoefficientError(
-                        f"power {node[2]}: a coefficient passes {digits} digits, "
-                        "the most an integer may print"
-                    )
+            jets._refuse_unprintable((*base, *out), f"power {node[2]}")
         return out
     if kind == "log":
         raise NotASeries("log has no power-series expansion at 0 in this grammar")

@@ -31,9 +31,11 @@ from .jets import (
     OrderError,
     _dense,
     _mul,
+    _refuse_unprintable,
     _subst,
     compose,
     invert,
+    read_rational,
 )
 from .residues import TangencyError
 from .normal_form import tangency_order
@@ -46,7 +48,9 @@ class CoercionError(TypeError):
 def _as_fraction(t):
     if isinstance(t, bool):
         raise CoercionError("booleans are not times")
-    if isinstance(t, (int, Fraction, str)):
+    if isinstance(t, str):
+        return read_rational(t)
+    if isinstance(t, (int, Fraction)):
         return Fraction(t)
     raise CoercionError(f"time must be exact (int, Fraction or 'p/q'), got {t!r}")
 
@@ -69,6 +73,7 @@ def power(f: Jet, n: int) -> Jet:
         raise TypeError("power exponent must be an integer")
     base = f if n >= 0 else invert(f)
     out = Jet.identity(f.order, f.carrier)
+    what = f"power {n}"
     n = abs(n)
     while n:
         if n & 1:
@@ -76,6 +81,7 @@ def power(f: Jet, n: int) -> Jet:
         n >>= 1
         if n:
             base = compose(base, base)
+        _refuse_unprintable(base.coeffs + out.coeffs, what)
     return out
 
 

@@ -13,6 +13,9 @@ Two coefficient carriers are supported:
 
 Floats are rejected everywhere: this module is the exact side of the
 library.  All values are immutable; every operation is a pure function.
+Text literals go through ``read_rational``, which refuses one whose
+integers would pass the interpreter's int-to-str digit limit before
+building them.
 
 Every operation runs on one dense-series kernel: ``_mul`` (product),
 ``_subst`` (Horner substitution p(g)) and ``_recip`` (reciprocal series),
@@ -32,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import json
-from math import gcd, lcm
+from math import gcd, lcm, log10
+import sys
 
 RATIONAL = "rational"
 INTEGER = "integer"
@@ -54,6 +58,43 @@ class CoefficientError(ValueError):
     """A coefficient cannot be represented exactly in the carrier."""
 
 
+def _int_digit_limit():
+    """The interpreter's int-to-str digit limit (4300 where it has none)."""
+    return getattr(sys, "get_int_max_str_digits", int)() or 4300
+
+
+def _refuse_unprintable(coeffs, what):
+    """CoefficientError once a coefficient passes the int-to-str digit limit:
+    it cannot be printed, and squaring it on would only take longer."""
+    digits = _int_digit_limit()
+    max_bits = int(digits / log10(2)) + 1
+    for c in coeffs:
+        if max(abs(c.numerator), c.denominator).bit_length() > max_bits:
+            raise CoefficientError(f"{what}: a coefficient passes {digits} digits, the most an integer may print")
+
+
+def read_rational(text: str) -> Fraction:
+    """``Fraction(text)`` for a literal such as "-3/4", "1.5" or "2e-3".
+
+    A literal whose integers would pass the int-to-str digit limit raises
+    CoefficientError before any of them is built: such a value can never
+    be printed, and ``Fraction("1e10000000")`` alone takes seconds to
+    build its power of ten.
+    """
+    limit = _int_digit_limit()
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = max(sum(ch.isdecimal() for ch in part) for part in mantissa.split("/"))
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal():
+        digits += int(exponent) if len(exponent) <= len(str(limit)) else limit + 1
+    if digits > limit:
+        raise CoefficientError(f"rational literal passes {limit} digits: {text[:40]!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CoefficientError(f"bad rational literal {text!r}") from exc
+
+
 def _as_scalar(value, carrier):
     if type(value) is Fraction and carrier == RATIONAL:
         return value  # immutable: kernel results are kept, not copied
@@ -69,10 +110,7 @@ def _as_scalar(value, carrier):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         if isinstance(value, str):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise CoefficientError(f"bad rational literal {value!r}") from exc
+            return read_rational(value)
         raise CoefficientError(
             f"not an exact rational coefficient: {value!r} (floats are refused)"
         )

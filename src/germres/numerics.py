@@ -57,6 +57,10 @@ TAU_ABS_TOL = 1e-10
 # only cost memory (three complex arrays of this length)
 MAX_CONTOUR_POINTS = 1 << 20
 
+# orbit loops run in Python at ~0.3 us per step, so this many steps take
+# seconds; longer orbits are refused before the loop starts
+MAX_ORBIT_STEPS = 10**7
+
 # an exact polynomial field's first zero is found by a Sturm search over the
 # integer polynomial _sturm_base builds; its cost grows steeply with that
 # polynomial's degree and total bit length (a zero near 2^-b takes about b
@@ -191,7 +195,10 @@ def field_from_coeffs(name: str, coeffs: dict, x_max: float = 1.0) -> NumericFie
         raise DomainError(
             f"{name}: the coefficients over a common denominator take {bits} bits, more than {MAX_POLY_BITS}"
         )
-    fl = [float(c) for c in poly]
+    try:
+        fl = [float(c) for c in poly]
+    except OverflowError:
+        raise DomainError(f"{name}: a coefficient passes the float range") from None
     func = _horner(fl, m)
     return NumericField(name=name, func=func, ell=ell, leading=fl[0], x_max=x_max, poly=poly)
 
@@ -275,11 +282,14 @@ class _TauScheme:
     def antiderivative(self, y: float) -> float:
         """Closed-form integral of the Laurent part."""
         acc = 0.0
-        for j, dj in self.d.items():
-            if j == 1:
-                acc += dj * math.log(y)
-            else:
-                acc += dj * y ** (1 - j) / (1 - j)
+        try:
+            for j, dj in self.d.items():
+                if j == 1:
+                    acc += dj * math.log(y)
+                else:
+                    acc += dj * y ** (1 - j) / (1 - j)
+        except OverflowError:
+            raise DomainError(f"the time coordinate at {y!r} passes the float range") from None
         return acc
 
 
@@ -429,7 +439,9 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
             raise ReachabilityError(
                 f"time {t} exceeds the reachable range within (0, {field.x_max}]"
             )
-    root = brentq(g, lo, hi, xtol=1e-300, rtol=4 * sys.float_info.epsilon)
+    root, info = brentq(g, lo, hi, xtol=1e-300, rtol=4 * sys.float_info.epsilon, full_output=True, disp=False)
+    if not info.converged:
+        raise NumericsError(f"time map: the root search stopped after {info.iterations} iterations")
 
     residual = tau(field, x0, root) - target
     sch = field._tau_scheme
@@ -453,7 +465,10 @@ class CanonicalConjugacy:
         return flow_map(self.Y, self.x0, tau(self.X, self.x0, x))
 
     def deriv(self, x: float) -> float:
-        return self.Y.func(self(x)) / self.X.func(x)
+        try:
+            return self.Y.func(self(x)) / self.X.func(x)
+        except ZeroDivisionError:
+            raise DomainError(f"{self.X.name}: the field vanishes in floating point at {x!r}") from None
 
     def second_deriv(self, x: float, rel_step: float = 1e-4) -> float:
         dx = rel_step * x
@@ -493,6 +508,8 @@ def szekeres_field(germ: GermSpec, x: float, n_max: int = 100_000, tol: float = 
     if not germ.is_contracting():
         raise DomainError(f"{germ.name}: szekeres_field needs a contracting germ")
     germ.check_point(x)
+    if n_max > MAX_ORBIT_STEPS:
+        raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {n_max}")
     increment, deriv = germ.increment, germ.deriv
     watch = tol > 0
     product = last = 1.0
@@ -537,6 +554,8 @@ class ResitEstimate:
 def _orbit_values(germ: GermSpec, x0: float, ns: Sequence[int], use_longdouble: bool):
     if germ.orbit is not None:
         return {n: float(germ.orbit(x0, n)) for n in ns}
+    if max(ns) > MAX_ORBIT_STEPS:
+        raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {max(ns)}")
     wanted = set(ns)
     out = {}
     one = 1.0
@@ -715,6 +734,8 @@ def divergence_diagnostic(
     h = canonical_conjugacy(X, Y, base)
     us, vs, pts = [], [], []
     for x in xs:
+        if x * x == 0.0:
+            raise DomainError(f"grid point {x!r} squares to 0 in floating point")
         hx = h(x)
         v = (hx - x) / x**2
         us.append(math.log(1.0 / x))

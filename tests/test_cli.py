@@ -5,9 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import time
+
+import pytest
 
 import germres
-from germres import Jet, jet_from_json, jet_to_json
+from germres import Jet, jet_from_json, jet_to_json, normal_form
 from germres.cli import main
 
 
@@ -15,6 +18,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_cli_process(argv):
+    """``python -m germres.cli *argv`` in a fresh interpreter, 10 s at most."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(germres.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "germres.cli", *argv], capture_output=True, text=True, env=env, timeout=10
+    )
 
 
 def test_residue_command(capsys):
@@ -253,12 +265,8 @@ def test_power_large_exponent_finishes():
     # square-and-multiply needs ~27 squarings; f^n is the closed-form flow
     # x - n x^2 + (n^2 - n) x^3 of x - x^2 at t = n
     n = 10**8
-    src = os.path.dirname(os.path.dirname(os.path.abspath(germres.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = ["power", "--expr", "x - x^2", "--order", "3", "--n", str(n)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "germres.cli", *argv], capture_output=True, text=True, env=env, timeout=10
-    )
+    proc = run_cli_process(argv)
     assert proc.returncode == 0
     jet = json.loads(proc.stdout)["result"]["jet"]
     assert jet["coeffs"] == ["1", str(-n), str(n * n - n)]
@@ -267,12 +275,8 @@ def test_power_large_exponent_finishes():
 def test_huge_constant_power_is_refused_quickly():
     # 3^100000000 has ~48 million digits; squaring it exactly would run for
     # minutes, and no integer past the int-to-str limit can be printed
-    src = os.path.dirname(os.path.dirname(os.path.abspath(germres.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = ["residue", "--expr", "x + 3^100000000*x^2", "--order", "3"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "germres.cli", *argv], capture_output=True, text=True, env=env, timeout=10
-    )
+    proc = run_cli_process(argv)
     assert proc.returncode == 1
     assert strict_error_code(proc.stdout) == "CoefficientError"
 
@@ -294,13 +298,9 @@ def test_oversized_poly_fields_are_refused_quickly():
     # coefficient size; 64 terms of 30-digit rationals ran for minutes
     many = "poly:-1," + ",".join(["1/3"] * 63)
     digits = [f"{(-1) ** (k + 1) * (10**29 + 7 * k + 3)}/{10**29 + 11 * k + 1}" for k in range(64)]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(germres.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for X in (many, "poly:" + ",".join(digits[:16]), "poly:" + ",".join(digits)):
         argv = ["conjugate", "--X", X, "--Y", "poly:-1", "--x0", "0.1", "--grid", "0.05"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "germres.cli", *argv], capture_output=True, text=True, env=env, timeout=10
-        )
+        proc = run_cli_process(argv)
         assert proc.returncode == 1
         assert strict_error_code(proc.stdout) == "DomainError"
 
@@ -311,3 +311,62 @@ def test_csv_unavailable_elsewhere(capsys):
     )
     assert code == 1
     assert json.loads(out)["error"]["code"] == "ValueError"
+
+
+def test_residue_runs_no_kill_step(capsys, monkeypatch):
+    # the residue verb reads res from the fixed-point index, so it must not
+    # need the conjugations of the normal-form staircase (ell = 2 here)
+    jet = '{"order":7,"coeffs":["1","0","-2","1","3","-1/2","5"]}'
+    code, before = run_cli(capsys, "residue", "--jet", jet)
+    _, nf = run_cli(capsys, "normal-form", "--jet", jet)
+
+    def no_kill_step(h, f):
+        raise AssertionError("kill step")
+
+    monkeypatch.setattr(normal_form, "conjugate", no_kill_step)
+    with pytest.raises(AssertionError):
+        main(["normal-form", "--jet", jet])
+    capsys.readouterr()
+    code_after, after = run_cli(capsys, "residue", "--jet", jet)
+    assert code == code_after == 0
+    assert after == before
+    assert json.loads(after)["result"]["report"] == json.loads(nf)["result"]["report"]
+    assert json.loads(after)["result"]["report"]["ell"] == 2
+
+
+def assert_quick_strict_error(argv, expected):
+    start = time.perf_counter()
+    proc = run_cli_process(argv)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1, argv
+    assert strict_error_code(proc.stdout) == expected, argv
+    assert elapsed < 2.0, (argv, elapsed)
+
+
+def test_huge_rational_literals_are_refused_quickly():
+    # Fraction("1e10000000") builds its power of ten before any size check;
+    # each literal below is refused before its integer is built
+    cases = [
+        ["conjugate", "--X", "poly:-1,1e10000000", "--Y", "poly:-1", "--x0", "0.1", "--grid", "0.05"],
+        ["residue", "--jet", '{"order":3,"coeffs":["1","1e1000000","0"]}'],
+        ["flow", "--expr", "x - x^2", "--order", "3", "--time", "1e100000000"],
+        ["exp", "--field", '{"kind":"field","order":3,"coeffs":["-1","0"]}', "--time", "1e-100000000"],
+        ["contour", "--poly", "1,1e10000000", "--radius", "0.1"],
+    ]
+    for argv in cases:
+        assert_quick_strict_error(argv, "CoefficientError")
+
+
+def test_contour_coefficient_past_the_float_range_is_an_error():
+    assert_quick_strict_error(["contour", "--poly", "1,1e400", "--radius", "0.1"], "CoefficientError")
+    assert_quick_strict_error(
+        ["contour", "--jet", '{"order":2,"coeffs":["1","1e400"]}', "--radius", "0.1"], "CoefficientError"
+    )
+
+
+def test_orbit_loops_past_the_step_cap_are_refused_quickly():
+    for argv in (
+        ["estimate-resit", "--catalog", "quadratic", "--x0", "0.1", "--n", "1000000000000"],
+        ["szekeres", "--catalog", "quadratic", "--x0", "0.1", "--n", "1000000000000", "--tol", "0"],
+    ):
+        assert_quick_strict_error(argv, "DomainError")

@@ -376,3 +376,31 @@ def test_pad_and_truncate():
     assert f.pad(4).truncate(2) == f
     with pytest.raises(OrderError):
         f.truncate(3)
+
+
+def test_read_rational_matches_fraction_within_the_digit_limit():
+    limit = jets._int_digit_limit()
+    for text in ("-3/4", " 1.5 ", "2E-3", "1_000", "+7", ".5", "1e" + str(limit - 1), "1e-" + str(limit - 2)):
+        assert jets.read_rational(text) == F(text)
+    for text in ("x", "", "1/0", "nan", "inf", "1e", "3e5/2"):
+        with pytest.raises(CoefficientError):
+            jets.read_rational(text)
+
+
+def test_read_rational_refuses_huge_literals_before_building_them():
+    # none of these integers could be built in reasonable time, so passing
+    # at all shows the refusal comes first
+    limit = jets._int_digit_limit()
+    for text in (
+        "1e" + str(limit),
+        "1e-" + str(limit + 1),
+        "1" * (limit + 1),
+        "1/" + "7" * (limit + 1),
+        "1e10000000000000000000",
+        "-2.5e-99999999999999999999",
+        "1e" + "9" * 5000,
+    ):
+        with pytest.raises(CoefficientError):
+            jets.read_rational(text)
+    with pytest.raises(CoefficientError):
+        jet_from_json('{"order": 3, "coeffs": ["1", "1e1000000", "0"]}')

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from germres import (
+    CarrierMismatch,
     FieldJet,
     Jet,
     OrderError,
@@ -16,6 +17,7 @@ from germres import (
     pullback_field,
     reduce_field,
     reduce_germ,
+    residue_report,
     tangency_order,
 )
 from helpers import rand_fraction, rand_positive_jet, rand_tangent, rng, sympy_resit
@@ -206,3 +208,39 @@ def test_field_mu_is_minus_resit():
 def test_reduce_field_rejects_zero():
     with pytest.raises(TangencyError):
         reduce_field(FieldJet.of(F(0), F(0)))
+
+
+def test_fixed_point_index_agrees_with_the_kill_staircase():
+    # residue_report reads res from the fixed-point index, the staircase
+    # leaves it as the ratio a'_{2ell+1} / a_{ell+1}^2 of the reduced jet;
+    # each side is the other's oracle
+    r = rng(30)
+    for _ in range(40):
+        ell = r.randint(1, 16)
+        f = rand_tangent(r, ell, r.randint(2 * ell + 1, 33))
+        trace, report = reduce_germ(f)
+        g = trace.reduced
+        assert residue_report(f) == report
+        assert report.res == g[2 * ell + 1] / g[ell + 1] ** 2
+    for _ in range(40):
+        ell = r.randint(1, 8)
+        K = r.randint(2 * ell + 1, 33)
+        coeffs = [F(0)] * (K - 1)
+        coeffs[ell - 1] = rand_fraction(r, nonzero=True)
+        for n in range(ell + 2, K + 1):
+            coeffs[n - 2] = rand_fraction(r)
+        trace, mu = reduce_field(FieldJet(tuple(coeffs)))
+        Y = trace.reduced
+        assert mu == Y[2 * ell + 1] / Y[ell + 1] ** 2
+
+
+def test_residue_report_preconditions_in_order():
+    # the carrier is checked first, then the tangency, then the order
+    with pytest.raises(CarrierMismatch):
+        residue_report(Jet.of(1, 0, 0, carrier="integer"))
+    with pytest.raises(TangencyError):
+        residue_report(Jet.identity(3))
+    with pytest.raises(TangencyError):
+        residue_report(Jet.of(2, 1, 0))
+    with pytest.raises(OrderError):
+        residue_report(Jet.of(1, 0, 1, 0))

@@ -31,6 +31,7 @@ from germres import (
 from germres.catalog import szekeres_numeric_field
 from germres.numerics import (
     MAX_CONTOUR_POINTS,
+    MAX_ORBIT_STEPS,
     MAX_POLY_BITS,
     MAX_POLY_DEGREE,
     ContourError,
@@ -460,6 +461,18 @@ def test_estimator_ramified_goes_to_zero():
 def test_estimator_rejects_degenerate_schedule():
     with pytest.raises(DomainError):
         estimate_resit(moebius(), 0.5, [1, 10])
+
+
+def test_orbit_loops_refuse_more_than_max_orbit_steps():
+    # refused before the loop starts; 10^12 steps would run for days
+    for n in (MAX_ORBIT_STEPS + 1, 10**12):
+        with pytest.raises(DomainError):
+            szekeres_field(quadratic(), 0.1, n_max=n, tol=0.0)
+        with pytest.raises(DomainError):
+            estimate_resit(quadratic(), 0.1, [1000, n])
+    # a closed-form orbit does not loop, so any length is served
+    est = estimate_resit(moebius(), 0.5, [1000, 10**12])
+    assert [n for n, _e in est.samples] == [1000, 10**12]
 
 
 def test_estimator_rejects_bad_ell_and_a():
