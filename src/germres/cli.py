@@ -64,6 +64,11 @@ _ERRORS = (
 
 DEFAULT_JET_ORDER = 9
 
+# the dense exact verbs grow like K^4 in the jet order K: at their worst
+# inputs (normal-form at ell = 24, power --n 10^8) order 49 takes ~0.5 s
+# and order 65 ~4 s on a 2-core Xeon, so longer jets are refused
+MAX_JET_ORDER = 49
+
 
 def _scalar(v):
     if isinstance(v, Fraction):
@@ -94,22 +99,29 @@ def _trace_dict(trace):
     }
 
 
+def _check_order(order: int):
+    if order > MAX_JET_ORDER:
+        raise OrderError(f"jet order {order} is above {MAX_JET_ORDER}, the most the exact verbs take")
+
+
 def _load_jet(args) -> Jet:
     """A jet from --jet JSON, --expr (expanded exactly), or --catalog."""
     order = DEFAULT_JET_ORDER if args.order is None else args.order
+    _check_order(order)
     if getattr(args, "jet", None):
-        return jet_from_json(args.jet)
-    if getattr(args, "expr", None):
+        f = jet_from_json(args.jet)
+    elif getattr(args, "expr", None):
         parsed = parse_germ(args.expr)
-        if isinstance(parsed, Jet):
-            return parsed
-        return parsed.to_jet(order)
-    if getattr(args, "catalog", None):
+        f = parsed if isinstance(parsed, Jet) else parsed.to_jet(order)
+    elif getattr(args, "catalog", None):
         germ = catalog.catalog_germ(args.catalog)
         if germ.jet_fn is None:
             raise ValueError(f"catalog germ {args.catalog!r} has no exact jet")
-        return germ.jet_fn(order)
-    raise ValueError("need one of --jet / --expr / --catalog")
+        f = germ.jet_fn(order)
+    else:
+        raise ValueError("need one of --jet / --expr / --catalog")
+    _check_order(f.order)
+    return f
 
 
 def _load_germ_spec(args) -> numerics.GermSpec:
@@ -247,6 +259,7 @@ def _cmd_field(args):
 
 def _cmd_exp(args):
     X = field_from_dict(json.loads(args.field))
+    _check_order(X.order)
     out = field_to_germ(X, args.time)
     doc = {
         "inputs": _inputs_echo(args, ["field", "time"]),
@@ -257,6 +270,8 @@ def _cmd_exp(args):
 
 
 def _cmd_szekeres(args):
+    if args.n < 1:
+        raise numerics.DomainError(f"--n must be at least 1, not {args.n}")
     germ = _load_germ_spec(args)
     res = numerics.szekeres_field(germ, args.x0, n_max=args.n, tol=args.tol)
     doc = {

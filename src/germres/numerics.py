@@ -32,8 +32,11 @@ numpy and scipy are imported inside the functions that use them, so
 importing this module (as every CLI verb does) loads neither.
 
 Fields, germs and splits are immutable and shared; a split is built once
-and never changed (a race at worst builds it twice), no operation mutates
-state, so grid sweeps may run concurrently.
+and never changed (a race at worst builds it twice).  The one other piece
+of state is a conjugacy's memo of its last (x, h(x)) pair, which lets Dh
+reuse h(x); it is a single tuple, replaced whole, so a concurrent caller
+either finds a matching pair or recomputes.  Grid sweeps may therefore run
+concurrently.
 """
 
 from __future__ import annotations
@@ -400,9 +403,14 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
     if t == 0.0:
         return x0
     target = float(t)
+    values = {}
 
     def g(z):
-        return tau(field, x0, z) - target
+        # each point is integrated once per call: the bracket search, the
+        # ends brentq opens with and the residual at its root share values
+        if z not in values:
+            values[z] = tau(field, x0, z) - target
+        return values[z]
 
     # tau is strictly monotone: decreasing for contracting fields (X < 0),
     # increasing for expanding ones.
@@ -410,16 +418,32 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
         not field.is_contracting() and target < 0
     )
     if toward_zero:
-        hi = x0
-        lo = x0 / 2
-        for _ in range(900):
-            if g(lo) * g(hi) <= 0:
-                break
-            lo /= 2
-            if lo == 0.0:
-                raise ReachabilityError("bracket for the time map collapsed to 0")
+        # z lies between the root and x0 iff g(z) has the sign of g(x0) = -t;
+        # a NaN also counts as above, so that the search goes on toward 0
+        sign = -math.copysign(1.0, target)
+
+        def above(z):
+            return not g(z) * sign <= 0
+
+        # start from the time-t image under the leading term c y^(ell+1),
+        # z^-ell = x0^-ell - ell c t, and widen by factors of 2
+        ell = field.ell
+        try:
+            z = (x0**-ell - ell * field.leading * target) ** (-1.0 / ell)
+        except (OverflowError, ZeroDivisionError):
+            z = x0 / 2
+        if not 0.0 < z < x0:
+            z = x0 / 2
+        if above(z):
+            lo = z
+            while above(lo):
+                hi, lo = lo, lo / 2
+                if lo == 0.0:
+                    raise ReachabilityError("bracket for the time map collapsed to 0")
         else:
-            raise ReachabilityError("could not bracket the time map toward 0")
+            hi = z
+            while not above(hi):
+                lo, hi = hi, min(2 * hi, x0)
     else:
         lo, hi = x0, field.x_max
         zero = field._tau_scheme.zero
@@ -443,7 +467,7 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
     if not info.converged:
         raise NumericsError(f"time map: the root search stopped after {info.iterations} iterations")
 
-    residual = tau(field, x0, root) - target
+    residual = g(root)  # brentq returns a point it has evaluated
     sch = field._tau_scheme
     bound = TAU_ABS_TOL * max(1.0, abs(sch.antiderivative(x0)), abs(sch.antiderivative(root)))
     if abs(residual) > bound:
@@ -455,18 +479,28 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
 class CanonicalConjugacy:
     """h = tau_Y^{-1} o tau_X with h(x0) = x0; conjugates the flow of X to
     the flow of Y.  Dh comes from the exact relation Dh = (Y o h)/X; the
-    second derivative differences Dh with a relative step."""
+    second derivative differences Dh with a relative step.
+
+    The last pair (x, h(x)) is kept as one tuple in the instance __dict__
+    (not a field, so ==, hash and repr ignore it), and ``deriv(x)`` right
+    after ``h(x)`` reuses it instead of solving for h(x) again.  Replacing
+    a tuple is atomic, so a concurrent caller sees a matching pair or none.
+    """
 
     X: NumericField
     Y: NumericField
     x0: float
 
     def __call__(self, x: float) -> float:
-        return flow_map(self.Y, self.x0, tau(self.X, self.x0, x))
+        hx = flow_map(self.Y, self.x0, tau(self.X, self.x0, x))
+        self.__dict__["_last"] = (x, hx)
+        return hx
 
     def deriv(self, x: float) -> float:
+        last = self.__dict__.get("_last")
+        hx = last[1] if last is not None and last[0] == x else self(x)
         try:
-            return self.Y.func(self(x)) / self.X.func(x)
+            return self.Y.func(hx) / self.X.func(x)
         except ZeroDivisionError:
             raise DomainError(f"{self.X.name}: the field vanishes in floating point at {x!r}") from None
 

@@ -234,3 +234,32 @@ def reference_szekeres(germ, x, n_max=100_000, tol=1e-12):
             )
         x = x + step
     return SzekeresResult(value=value, iterations=n_max, converged=False)
+
+
+# -- the time map's bracket as first written ----------------------------------
+
+
+def reference_flow_map(field, x0, t):
+    """flow_map toward 0 with the bracket found by halving from x0 and the
+    package's tau; the package's bracket must give the same root up to
+    brentq's relative tolerance of 4 eps."""
+    import sys
+
+    from scipy.optimize import brentq
+
+    from germres.numerics import ReachabilityError, tau
+
+    def g(z):
+        return tau(field, x0, z) - t
+
+    assert field.is_contracting() == (t > 0), "toward 0 only"
+    hi, lo = x0, x0 / 2
+    for _ in range(900):
+        if g(lo) * g(hi) <= 0:
+            break
+        lo /= 2
+        if lo == 0.0:
+            raise ReachabilityError("bracket for the time map collapsed to 0")
+    else:
+        raise ReachabilityError("could not bracket the time map toward 0")
+    return brentq(g, lo, hi, xtol=1e-300, rtol=4 * sys.float_info.epsilon)

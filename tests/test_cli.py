@@ -11,7 +11,7 @@ import pytest
 
 import germres
 from germres import Jet, jet_from_json, jet_to_json, normal_form
-from germres.cli import main
+from germres.cli import MAX_JET_ORDER, main
 
 
 def run_cli(capsys, *argv):
@@ -370,3 +370,47 @@ def test_orbit_loops_past_the_step_cap_are_refused_quickly():
         ["szekeres", "--catalog", "quadratic", "--x0", "0.1", "--n", "1000000000000", "--tol", "0"],
     ):
         assert_quick_strict_error(argv, "DomainError")
+
+
+def test_szekeres_iteration_cap_below_one_is_refused(capsys):
+    for n in ("0", "-5"):
+        code, out = run_cli(capsys, "szekeres", "--catalog", "quadratic", "--x0", "0.1", f"--n={n}")
+        assert code == 1
+        assert strict_error_code(out) == "DomainError"
+    code, out = run_cli(capsys, "szekeres", "--catalog", "quadratic", "--x0", "0.1", "--n", "1", "--tol", "0")
+    assert code == 0
+    assert json.loads(out)["result"]["iterations"] == 1
+
+
+def test_jet_orders_past_the_bound_are_refused_quickly():
+    # the dense exact verbs cost ~K^4: power at order 200 ran for minutes
+    K = MAX_JET_ORDER + 1
+    jet = json.dumps({"order": K, "coeffs": ["1"] + ["-1"] * (K - 1)})
+    field = json.dumps({"kind": "field", "order": K, "coeffs": ["-1"] * (K - 1)})
+    cases = [
+        ["power", "--catalog", "moebius", "--order", "200", "--n", "100000000"],
+        ["power", "--jet", jet, "--n", "2"],
+        ["normal-form", "--expr", "x - x^2", "--order", str(K)],
+        ["flow", "--catalog", "moebius", "--order", str(K), "--time", "1/2"],
+        ["field", "--jet", jet],
+        ["residue", "--expr", jet],  # a jet document given as a formula
+        ["exp", "--field", field, "--time", "1"],
+    ]
+    for argv in cases:
+        assert_quick_strict_error(argv, "OrderError")
+
+
+def test_jet_orders_at_the_bound_are_served(capsys):
+    K = str(MAX_JET_ORDER)
+    field = json.dumps({"kind": "field", "order": MAX_JET_ORDER, "coeffs": ["-1"] * (MAX_JET_ORDER - 1)})
+    for argv in (
+        ["power", "--catalog", "moebius", "--order", K, "--n", "2"],
+        ["normal-form", "--expr", "x - x^2", "--order", K],
+        ["flow", "--catalog", "moebius", "--order", K, "--time", "1/2"],
+        ["field", "--catalog", "moebius", "--order", K],
+        ["residue", "--catalog", "moebius", "--order", K],
+        ["exp", "--field", field, "--time", "1"],
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert "result" in json.loads(out)

@@ -41,7 +41,7 @@ from germres.numerics import (
     ReachabilityError,
 )
 
-from helpers import reference_szekeres
+from helpers import reference_flow_map, reference_szekeres
 
 
 # -- time maps ----------------------------------------------------------------
@@ -252,12 +252,56 @@ def test_flow_group_law_numeric():
         assert abs(once - joint) < 1e-8
 
 
+def test_flow_map_toward_zero_starts_from_the_leading_term_flow(monkeypatch):
+    from germres import numerics
+
+    calls = [0]
+    plain = numerics.tau
+
+    def counted(field, x0, x):
+        calls[0] += x != x0  # tau calls that integrate
+        return plain(field, x0, x)
+
+    monkeypatch.setattr(numerics, "tau", counted)
+    x0 = 0.1
+
+    def solve(X, t):
+        ref = reference_flow_map(X, x0, t)
+        calls[0] = 0
+        z = flow_map(X, x0, t)
+        assert 0 < calls[0] <= 10
+        assert abs(z - ref) <= 4 * np.finfo(float).eps * ref
+        return z
+
+    # dx/dt = -x^2: x(t) = x0/(1 + t x0); halving from x0 took ~24
+    # quadratures per call over this range of roots
+    for root in np.geomspace(1e-5, 1e-2, 13):
+        t = 1 / root - 1 / x0
+        z = solve(catalog_field("neg_x2"), t)
+        assert abs(z - x0 / (1 + t * x0)) <= 1e-12 * z
+    # a field that is not its leading term: the bracket widens from the guess
+    for t in (1.0, 1e2, 1e4, 1e6):
+        solve(catalog_field("neg_x2_x3"), t)
+
+
+def test_flow_map_bracket_collapsed_to_zero():
+    # the linear field -y reaches x0 e^-t, which is below the least float at
+    # t = 800; its time coordinate stays finite all the way down
+    X = NumericField(name="lin", func=lambda y: -y, ell=0, leading=-1.0)
+    assert abs(flow_map(X, 0.1, 10.0) - 0.1 * math.exp(-10.0)) <= 1e-12
+    with pytest.raises(ReachabilityError, match="collapsed to 0"):
+        flow_map(X, 1e-100, 800.0)
+
+
 def test_expanding_field_flow():
     X = catalog_field("x2")
     z = flow_map(X, 0.1, 1.0)  # dx/dt = x^2: x(t) = x0/(1 - t x0)
     assert abs(z - 0.1 / 0.9) < 1e-9
     with pytest.raises(ReachabilityError):
         flow_map(X, 0.1, 20.0)  # blow-up past x_max
+    for t in (-0.5, -90.0, -1e5):  # toward 0, bracketed from the guess
+        exact = 0.1 / (1 - t * 0.1)
+        assert abs(flow_map(X, 0.1, t) - exact) <= 1e-12 * exact
 
 
 # -- canonical conjugacy -------------------------------------------------------
@@ -304,6 +348,40 @@ def test_conjugacy_derivative_against_differences():
     assert abs(h.deriv(x) - exact) < 1e-10
     d2_exact = 4 * 0.3**2 / (2 * 0.3 - x) ** 3
     assert abs(h.second_deriv(x) - d2_exact) < 1e-4
+
+
+def test_conjugacy_deriv_reuses_the_last_point():
+    # h(x) integrates X once (tau_X); Dh then only evaluates X at x, where
+    # solving for h(x) again would integrate X a second time
+    calls = [0]
+    base = szekeres_numeric_field(moebius(), 10)
+
+    def counted(y):
+        calls[0] += 1
+        return base.func(y)
+
+    X = dataclasses.replace(base, func=counted)
+    Y = catalog_field("neg_x2")
+    x1, x2 = 3e-3, 2e-4
+    fresh = canonical_conjugacy(X, Y, 0.1)
+    calls[0] = 0
+    h_ref = fresh(x1)
+    quadrature = calls[0]
+    dh_ref = canonical_conjugacy(X, Y, 0.1).deriv(x1)
+    h2_ref = canonical_conjugacy(X, Y, 0.1)(x2)
+
+    h = canonical_conjugacy(X, Y, 0.1)
+    before = (repr(h), hash(h))
+    calls[0] = 0
+    assert repr(h(x1)) == repr(h_ref)
+    assert repr(h.deriv(x1)) == repr(dh_ref)
+    assert quadrature > 0 and calls[0] == quadrature + 1
+    assert (repr(h), hash(h)) == before
+    assert h == fresh and h == canonical_conjugacy(X, Y, 0.1)
+    # a point other than the last one is solved for afresh
+    assert repr(h(x2)) == repr(h2_ref)
+    assert repr(h.deriv(x1)) == repr(dh_ref)
+    assert repr(h(x1)) == repr(h_ref)
 
 
 def test_conjugacy_rejects_mixed_orientation():
