@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .jets import Jet, OrderError, read_rational
+from .jets import CoefficientError, Jet, OrderError, read_rational
 from .normal_form import tangency_order
 from .numerics import DomainError, GermSpec, NumericField, _horner, field_from_coeffs, szekeres_field
 
@@ -173,7 +173,10 @@ def germ_from_jet(jet: Jet, x_max: float = 0.4, name: str = "",
         raise DomainError("the jet is the identity at this order; no leading term")
     ell = tc.ell
     lead = jet[ell + 1]
-    fl = [float(jet[n]) for n in range(1, jet.order + 1)]
+    try:
+        fl = [float(jet[n]) for n in range(1, jet.order + 1)]
+    except OverflowError:
+        raise CoefficientError("a coefficient of the jet passes the float range (about 1.8e308)") from None
 
     if func is None:
         func = _horner([-0.0] + fl)  # (...) * x

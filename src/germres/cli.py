@@ -134,19 +134,19 @@ def _load_germ_spec(args) -> numerics.GermSpec:
         tag = parsed.catalog_tag()
         if tag is not None:
             return catalog.catalog_germ(tag)
+        func, deriv = parsed.func, parsed.deriv
         try:
             # a rational formula regular at 0 gets exact flatness data; the
             # formula itself stays the evaluator
             return catalog.germ_from_jet(
                 parsed.to_jet(DEFAULT_JET_ORDER),
                 name=f"expr[{parsed.text}]",
-                func=parsed.func,
-                deriv=parsed.deriv,
-                increment=lambda x, _p=parsed: _p.func(x) - x,
+                func=func,
+                deriv=deriv,
+                increment=lambda x: func(x) - x,
             )
         except NotASeries:
             pass
-        func, deriv = parsed.func, parsed.deriv
         x_probe = 0.05
         orientation = "contracting" if func(x_probe) < x_probe else "expanding"
         return numerics.GermSpec(

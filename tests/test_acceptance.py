@@ -3,10 +3,11 @@ PASS/FAIL line (run with ``pytest -s tests/test_acceptance.py`` to see all
 lines, or execute this file directly).
 
 Two sub-criteria were first stated with identities that contradict the
-definitions in PAPER.md (``resit = (l+1)/2 - res`` with ``res`` the
-scale-invariant x^(2l+1) coefficient of the normal form, and the flow law
-``resit(f^t) = resit(f)/t``).  They now assert the identities those
-definitions give, and keep the old statements' counterexamples as checks:
+definitions (README, "Conventions worth knowing"): ``resit = (l+1)/2 - res``
+with ``res`` the scale-invariant x^(2l+1) coefficient of the normal form,
+and the flow law ``resit(f^t) = resit(f)/t``.  They now assert the
+identities those definitions give, and keep the old statements'
+counterexamples as checks:
 
 * 3b — reversed iterates.  The old statement resit(f^n) * |n| = resit(f)
   for n < 0 fails whenever resit(f) != 0: the flow law at t = -1 gives

@@ -414,3 +414,30 @@ def test_jet_orders_at_the_bound_are_served(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0, argv
         assert "result" in json.loads(out)
+
+
+def test_literal_past_the_float_range(capsys):
+    # the exact verbs read the series only; the numeric verbs need float
+    # evaluators, which a literal of 10^400 cannot have
+    text = "x - 1" + "0" * 400 + "*x^2"
+    code, out = run_cli(capsys, "residue", "--expr", text, "--order", "3")
+    assert code == 0
+    report = json.loads(out)["result"]["report"]
+    assert report["leading"] == "-1" + "0" * 400 and report["resit"] == "1"
+    for argv in (
+        ["szekeres", "--expr", text, "--x0", "0.1", "--n", "10"],
+        ["estimate-resit", "--expr", text, "--x0", "0.1", "--n", "1000"],
+        ["szekeres", "--expr", "x - x^2*(1+1" + "0" * 300 + "*x)^5", "--x0", "0.1", "--n", "10"],
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert strict_error_code(out) == "CoefficientError", argv
+
+
+def test_non_finite_estimate_is_a_domain_error(capsys):
+    code, out = run_cli(
+        capsys, "estimate-resit", "--catalog", "quadratic", "--x0", "0.3", "--n", "10000", "--a", "1e308"
+    )
+    assert code == 1
+    assert strict_error_code(out) == "DomainError"
+    assert "n=1000 is not finite" in json.loads(out)["error"]["message"]

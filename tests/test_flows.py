@@ -40,8 +40,8 @@ def test_flow_time_one_recovers_generator():
 
 
 def test_flow_and_generator_match_closed_forms():
-    # PAPER.md's closed forms, evaluated outside the package, on jets longer
-    # than 2*ell+1 (the flow reads only the truncation)
+    # the closed forms of README "Conventions worth knowing", evaluated outside
+    # the package, on jets longer than 2*ell+1 (the flow reads only the truncation)
     r = rng(40)
     for ell in (1, 2, 3, 4):
         for _ in range(5):

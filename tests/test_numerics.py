@@ -1,6 +1,7 @@
 """Numeric dynamics: time maps, Szekeres iteration, orbit estimator,
 contour residues, conjugacies, diagnostics."""
 
+import argparse
 import dataclasses
 import math
 from fractions import Fraction as F
@@ -41,7 +42,7 @@ from germres.numerics import (
     ReachabilityError,
 )
 
-from helpers import reference_flow_map, reference_szekeres
+from helpers import reference_flow_map, reference_orbit_values, reference_szekeres
 
 
 # -- time maps ----------------------------------------------------------------
@@ -563,6 +564,79 @@ def test_estimator_longdouble_path():
     est64 = estimate_resit(quadratic(), 0.5, [10**4])
     est80 = estimate_resit(quadratic(), 0.5, [10**4], use_longdouble=True)
     assert abs(est64.samples[0][1] - est80.samples[0][1]) < 1e-9
+
+
+def test_non_finite_estimates_are_domain_errors():
+    # a = 1e308 makes the prefactor a*ell^2*n^2/log n overflow to inf
+    with pytest.raises(DomainError, match="n=1000 is not finite"):
+        estimate_resit(quadratic(), 0.3, [1000, 10000], a=1e308)
+    # a subnormal a makes 1/(a*ell*n) overflow instead
+    with pytest.raises(DomainError, match="n=10 is not finite"):
+        estimate_resit(moebius(), 0.5, [10, 100], a=5e-324)
+    flat = GermSpec(
+        name="flat", func=lambda x: x - x**41, deriv=lambda x: 1 - 41 * x**40,
+        increment=lambda x: -(x**41), ell=40, a=1.0, orientation="contracting", x_max=0.5,
+    )
+    # x_n^40 underflows to 0 at n = 1, so u_n = 1/(a*ell*x_n^ell) is infinite
+    with pytest.raises(DomainError, match="n=1 is not finite"):
+        orbit_bound_check(flat, 1e-9, 100)
+    with pytest.raises(DomainError):
+        orbit_bound_check(quadratic(), 0.5, 0)
+
+
+# -- the orbit loop against its first-written form ------------------------------
+
+
+def _expr_germ(text):
+    """The GermSpec the CLI builds for ``--expr text``."""
+    from germres.cli import _load_germ_spec
+
+    return _load_germ_spec(argparse.Namespace(expr=text, catalog=None, ell=None, a=None))
+
+
+def _orbit_germs():
+    from germres.catalog import germ_from_jet
+
+    return [
+        (quadratic(), 0.3),
+        (germ_from_jet(Jet.of(1, -1, F(1, 4))), 0.2),
+        (germ_from_jet(Jet.of(1, 0, -2, 1), x_max=0.3), 0.3),  # ell = 2
+        (_expr_germ("x - x^2 + 3/4*x^3"), 0.25),  # polynomial
+        (_expr_germ("x/(1+x) - x^3"), 0.3),  # rational
+        (_expr_germ("x - x^2 + x^3*log(x)"), 0.2),  # log: no series
+    ]
+
+
+def test_orbit_loop_matches_the_first_written_loop():
+    from germres.numerics import _orbit_values
+
+    schedules = ([5000, 10, 10, 2, 777, 5000, 3], [1], [20000, 19999])
+    for germ, x0 in _orbit_germs():
+        assert germ.orbit is None, germ.name
+        for ns in schedules:
+            for extended in (False, True):
+                got = _orbit_values(germ, x0, ns, extended)
+                assert repr(got) == repr(reference_orbit_values(germ, x0, ns, extended)), (germ.name, ns)
+
+
+def test_orbit_verbs_match_the_first_written_loop(monkeypatch):
+    from germres import numerics
+
+    schedule = [30000, 100, 2000, 100]
+    for germ, x0 in _orbit_germs():
+        ours = [
+            estimate_resit(germ, x0, schedule),
+            estimate_resit(germ, x0, schedule, use_longdouble=True),
+            orbit_bound_check(germ, x0, 30000),
+        ]
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "_orbit_values", reference_orbit_values)
+            reference = [
+                estimate_resit(germ, x0, schedule),
+                estimate_resit(germ, x0, schedule, use_longdouble=True),
+                orbit_bound_check(germ, x0, 30000),
+            ]
+        assert repr(ours) == repr(reference), germ.name
 
 
 # -- orbit bounds --------------------------------------------------------------
