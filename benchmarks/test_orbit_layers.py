@@ -32,11 +32,10 @@ GERMS = {
 
 
 @pytest.mark.parametrize("name", GERMS)
-@pytest.mark.parametrize("extended", [False, True], ids=["float", "longdouble"])
-def test_orbit_values(benchmark, name, extended):
+def test_orbit_values(benchmark, name):
     germ = GERMS[name]()
     assert germ.orbit is None
-    out = benchmark(numerics._orbit_values, germ, 0.3, [STEPS], extended)
+    out = benchmark(numerics._orbit_values, germ, 0.3, [STEPS])
     assert 0.0 < out[STEPS] < 1e-4
 
 

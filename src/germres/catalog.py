@@ -185,10 +185,9 @@ def germ_from_jet(jet: Jet, x_max: float = 0.4, name: str = "",
     if increment is None:
         increment = _horner([-0.0, -0.0] + fl[1:])  # (...) * x * x
 
-    import numpy as np
-
+    # 25 points in geometric progression from 1e-6 to x_max, both ends exact
     contracting = lead < 0
-    for x in np.geomspace(1e-6, x_max, 25):
+    for x in [1e-6 * (x_max / 1e-6) ** (k / 24) for k in range(24)] + [x_max]:
         if deriv(x) <= 0.0:
             raise DomainError(f"Df vanishes on (0, {x_max}] (at x={x:.3g}); shrink x_max")
         inc = increment(x)
@@ -297,15 +296,3 @@ def catalog_field(tag: str) -> NumericField:
         return szekeres_numeric_field(quadratic())
     raise KeyError(f"unknown catalog field {tag!r}")
 
-
-GERM_TAGS = ("quadratic", "moebius", "ramified_flow_<ell>_<t>", "log_cubic", "loglog")
-FIELD_TAGS = (
-    "neg_x2",
-    "neg_2x2",
-    "neg_x2_x3",
-    "neg_x3",
-    "x2",
-    "pullback_log_cubic",
-    "pullback_loglog",
-    "quadratic_szekeres",
-)

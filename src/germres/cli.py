@@ -25,6 +25,7 @@ keys are sorted.  ``--format csv`` is available for the tabular commands
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -125,6 +126,13 @@ def _load_jet(args) -> Jet:
 
 
 def _load_germ_spec(args) -> numerics.GermSpec:
+    """A germ from --catalog or --expr, with --ell/--a (where the verb has
+    them) in place of its own flatness order and leading magnitude."""
+    overrides = {name: value for name in ("ell", "a") if (value := getattr(args, name, None)) is not None}
+    return dataclasses.replace(_build_germ_spec(args), **overrides)
+
+
+def _build_germ_spec(args) -> numerics.GermSpec:
     if getattr(args, "catalog", None):
         return catalog.catalog_germ(args.catalog)
     if getattr(args, "expr", None):
@@ -154,8 +162,8 @@ def _load_germ_spec(args) -> numerics.GermSpec:
             func=func,
             deriv=deriv,
             increment=lambda x: func(x) - x,
-            ell=getattr(args, "ell", None) or 1,
-            a=getattr(args, "a", None) or 1.0,
+            ell=1,
+            a=1.0,
             orientation=orientation,
             x_max=0.4,
         )
@@ -294,9 +302,7 @@ def _cmd_estimate_resit(args):
             n *= 10
         schedule.append(args.n)
         schedule = sorted(set(s for s in schedule if s <= args.n))
-    est = numerics.estimate_resit(
-        germ, args.x0, schedule, ell=args.ell, a=args.a, use_longdouble=args.extended
-    )
+    est = numerics.estimate_resit(germ, args.x0, schedule)
     samples = [[n, e] for n, e in est.samples]
     doc = {
         "inputs": _inputs_echo(args, ["expr", "catalog", "x0", "n", "schedule", "ell", "a"]),
@@ -424,7 +430,6 @@ def build_parser():
     p.add_argument("--schedule", help="explicit comma list of orbit lengths")
     p.add_argument("--ell", type=int)
     p.add_argument("--a", type=float)
-    p.add_argument("--extended", action="store_true", help="extended-precision orbit")
     p.set_defaults(handler=_cmd_estimate_resit)
 
     p = sub.add_parser("conjugate", help="canonical conjugacy between two fields")

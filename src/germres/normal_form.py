@@ -97,7 +97,7 @@ def residue_report(f: Jet) -> ResidueReport:
     """The :class:`ResidueReport` of f, with res read from the fixed-point
     index.  Needs the rational carrier, exact tangency and order >= 2*ell + 1."""
     if f.carrier != RATIONAL:
-        raise CarrierMismatch("reduce_germ needs the rational carrier")
+        raise CarrierMismatch("residue_report needs the rational carrier")
     tc = tangency_order(f)
     if not tc.exact:
         raise TangencyError("jet is the identity at this order; no exact tangency")

@@ -61,10 +61,10 @@ TAU_ABS_TOL = 1e-10
 MAX_CONTOUR_POINTS = 1 << 20
 
 # orbit loops run in Python; per step, on a 2-vCPU Xeon VM with Python 3.11,
-# the estimate_resit loop takes ~0.11 us on `quadratic`, ~0.3 us on a
-# germ_from_jet polynomial or an --expr germ and ~0.5-0.9 us in long double,
-# and the szekeres_field loop ~0.23 us (tol = 0) to ~0.33 us.  So this many
-# steps take 1-9 s; longer orbits are refused before the loop starts
+# the estimate_resit loop takes ~0.11 us on `quadratic` and ~0.3 us on a
+# germ_from_jet polynomial or an --expr germ, and the szekeres_field loop
+# ~0.23 us (tol = 0) to ~0.33 us.  So this many steps take 1-3.3 s; longer
+# orbits are refused before the loop starts
 MAX_ORBIT_STEPS = 10**7
 
 # an exact polynomial field's first zero is found by a Sturm search over the
@@ -540,13 +540,16 @@ def szekeres_field(germ: GermSpec, x: float, n_max: int = 100_000, tol: float = 
     With ``tol`` not positive nothing can converge, so the loop carries
     only the orbit point and the product, and the value is divided once,
     from the last step (the fixed-depth evaluator of
-    ``catalog.szekeres_numeric_field`` runs this way).
+    ``catalog.szekeres_numeric_field`` runs this way).  A non-finite
+    ``tol`` is refused.
     """
     if not germ.is_contracting():
         raise DomainError(f"{germ.name}: szekeres_field needs a contracting germ")
     germ.check_point(x)
     if n_max > MAX_ORBIT_STEPS:
         raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {n_max}")
+    if not math.isfinite(tol):
+        raise DomainError(f"tol must be finite, not {tol}")
     increment, deriv = germ.increment, germ.deriv
     watch = tol > 0
     product = last = 1.0
@@ -588,63 +591,49 @@ class ResitEstimate:
     x0: float
 
 
-def _orbit_values(germ: GermSpec, x0: float, ns: Sequence[int], use_longdouble: bool):
+def _orbit_values(germ: GermSpec, x0: float, ns: Sequence[int]):
     """{n: f^n(x0)} for the orbit lengths ``ns`` (n >= 0, any order,
-    repeats allowed), by one compensated loop over the sorted lengths."""
+    repeats allowed), by one compensated loop over the sorted lengths.
+
+    The pair (x, comp) carries the running sum to about twice float
+    precision, so each checkpoint is the float nearest that sum; no wider
+    accumulator changes it."""
     if germ.orbit is not None:
         return {n: float(germ.orbit(x0, n)) for n in ns}
     ns = sorted(set(ns))
     if ns[-1] > MAX_ORBIT_STEPS:
         raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {ns[-1]}")
-    step = inc = germ.increment
+    inc = germ.increment
     x, comp = float(x0), 0.0
-    if use_longdouble:
-        import numpy as np
-
-        one = np.longdouble(1.0)
-        x, comp = one * x0, one * 0.0
-
-        def step(y):
-            # the increment takes a float; subtracting the long-double comp
-            # promotes its float result exactly
-            return inc(float(y))
-
     out = {}
     k = 0
     for n in ns:
         # compensated update x <- x + (f(x) - x), from step k to step n
         for _ in range(n - k):
-            d = step(x) - comp
+            d = inc(x) - comp
             t = x + d
             comp = (t - x) - d
             x = t
-        out[n] = float(x)
+        out[n] = x
         k = n
     return out
 
 
-def estimate_resit(
-    germ: GermSpec,
-    x0: float,
-    schedule: Sequence[int],
-    ell: Optional[int] = None,
-    a: Optional[float] = None,
-    use_longdouble: bool = False,
-) -> ResitEstimate:
+def estimate_resit(germ: GermSpec, x0: float, schedule: Sequence[int]) -> ResitEstimate:
     """Orbit-deviation estimator of the iterative residue of a contracting
     germ f = x - a x^{ell+1} + ... :
 
         est(n) = (a ell^2 n^2 / log n) * ( 1/(a ell n) - [f^n(x0)]^ell ).
 
-    The convergence is O(1/log n); the estimator is meant for qualitative
-    bands, not tight tolerances.  ``use_longdouble`` switches the orbit
-    accumulation to extended precision (useful above n ~ 10^6).
+    ``ell`` and ``a`` are the germ's; to estimate with other values, pass
+    ``dataclasses.replace(germ, ell=..., a=...)``.  The convergence is
+    O(1/log n); the estimator is meant for qualitative bands, not tight
+    tolerances.
     """
     if not germ.is_contracting():
         raise DomainError(f"{germ.name}: estimator needs a contracting germ")
     germ.check_point(x0)
-    ell = germ.ell if ell is None else ell
-    a = germ.a if a is None else a
+    ell, a = germ.ell, germ.a
     if ell < 1:
         raise DomainError(f"flatness order ell must be at least 1, not {ell}")
     if not (math.isfinite(a) and a > 0):
@@ -652,7 +641,7 @@ def estimate_resit(
     ns = sorted(set(int(n) for n in schedule))
     if not ns or ns[0] <= 1:
         raise DomainError("schedule entries must be integers > 1 (log n degenerates)")
-    orbit = _orbit_values(germ, x0, ns, use_longdouble)
+    orbit = _orbit_values(germ, x0, ns)
     samples = []
     for n in ns:
         xn = orbit[n]
@@ -706,7 +695,7 @@ def orbit_bound_check(germ: GermSpec, x0: float, n_max: int) -> OrbitBoundReport
     samples = []
     D = -math.inf
     D_prime = math.inf
-    values = _orbit_values(germ, x0, checkpoints, use_longdouble=False)
+    values = _orbit_values(germ, x0, checkpoints)
     for n in checkpoints:
         xn = values[n]
         ratio = a * ell * n * xn**ell
@@ -741,19 +730,21 @@ def contour_residue(f: Callable[[complex], complex], radius: float, points: int 
     trapezoidal rule on equispaced points (spectrally accurate here)."""
     import numpy as np
 
-    if radius <= 0:
-        raise DomainError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise DomainError(f"radius must be finite and positive, not {radius}")
     if points < 8:
         raise DomainError("need at least 8 sample points")
     if points > MAX_CONTOUR_POINTS:
         raise DomainError(f"at most {MAX_CONTOUR_POINTS} sample points, not {points}")
     theta = 2.0 * np.pi * np.arange(points) / points
     z = radius * np.exp(1j * theta)
-    w = np.array([zi - f(zi) for zi in z])
-    small = np.abs(w) < 1e-12 * radius
-    if small.any():
-        raise ContourError("z - f(z) vanishes on or near the contour")
-    value = complex(np.mean(z / w))
+    # overflow and inf/inf stay silent: a non-finite sample or mean is refused below
+    with np.errstate(all="ignore"):
+        w = np.array([zi - f(zi) for zi in z])
+        small = np.abs(w) < 1e-12 * radius
+        if small.any():
+            raise ContourError("z - f(z) vanishes on or near the contour")
+        value = complex(np.mean(z / w))
     if not cmath.isfinite(value):
         raise ContourError(f"the contour integral is not finite at radius {radius}")
     return value

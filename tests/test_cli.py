@@ -193,6 +193,33 @@ def test_contour_non_finite_is_an_error(capsys):
     assert strict_error_code(out) == "ContourError"
 
 
+def test_contour_errors_print_nothing_to_stderr():
+    # overflow on the circle is a ContourError, not a numpy RuntimeWarning
+    for radius, expected in (("nan", "DomainError"), ("inf", "DomainError"), ("1e308", "ContourError")):
+        proc = run_cli_process(["contour", "--poly", "1,1,0.7", "--radius", radius])
+        assert proc.returncode == 1, radius
+        assert strict_error_code(proc.stdout) == expected, radius
+        assert proc.stderr == "", radius
+
+
+def test_integer_carrier_residue_names_the_residue_report(capsys):
+    jet = '{"order":3,"coeffs":["1","1","0"],"carrier":"integer"}'
+    for verb in ("residue", "normal-form"):
+        code, out = run_cli(capsys, verb, "--jet", jet)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "CarrierMismatch",
+            "message": "residue_report needs the rational carrier",
+        }
+
+
+def test_extended_orbit_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate-resit", "--catalog", "quadratic", "--x0", "0.3", "--n", "1000", "--extended"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_bad_jet_json_gives_strict_error(capsys):
     cases = [
         (("exp", "--field", "[1]", "--time", "1"), "CoefficientError"),
@@ -223,7 +250,10 @@ def test_out_of_range_sizes_are_refused(capsys):
 
 def test_non_finite_numbers_are_never_printed(capsys):
     cases = [
-        (("szekeres", "--catalog", "quadratic", "--x0", "0.1", "--tol", "nan", "--n", "10"), "ValueError"),
+        (("szekeres", "--catalog", "quadratic", "--x0", "0.1", "--tol", "nan", "--n", "10"), "DomainError"),
+        (("szekeres", "--catalog", "quadratic", "--x0", "0.1", "--tol", "inf", "--n", "10"), "DomainError"),
+        (("contour", "--poly", "1,1", "--radius", "nan"), "DomainError"),
+        (("contour", "--poly", "1,1", "--radius", "inf"), "DomainError"),
         (("estimate-resit", "--catalog", "quadratic", "--x0", "0.1", "--a", "nan", "--schedule", "10,100"), "DomainError"),
         (("estimate-resit", "--catalog", "quadratic", "--x0", "0.1", "--a", "inf", "--schedule", "10,100"), "DomainError"),
         (("estimate-resit", "--catalog", "quadratic", "--x0", "0.1", "--ell", "0", "--schedule", "10,100"), "DomainError"),

@@ -476,6 +476,15 @@ def test_szekeres_loop_is_bit_identical_to_the_reference():
             assert repr(tight) == repr(reference_szekeres(germ, x, 300, 1e-300))
 
 
+def test_szekeres_refuses_a_non_finite_tolerance():
+    # refused before the loop; a negative tol still means fixed depth
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="tol must be finite"):
+            szekeres_field(quadratic(), 0.1, n_max=10, tol=tol)
+    fixed = szekeres_field(quadratic(), 0.1, n_max=10, tol=-1.0)
+    assert not fixed.converged and fixed.iterations == 10
+
+
 def test_szekeres_underflow_message_matches_the_reference():
     bad = GermSpec(
         name="collapse",
@@ -557,22 +566,16 @@ def test_orbit_loops_refuse_more_than_max_orbit_steps():
 def test_estimator_rejects_bad_ell_and_a():
     for kwargs in ({"ell": 0}, {"ell": -1}, {"a": 0.0}, {"a": math.nan}, {"a": math.inf}, {"a": -1.0}):
         with pytest.raises(DomainError):
-            estimate_resit(moebius(), 0.5, [10, 100], **kwargs)
-
-
-def test_estimator_longdouble_path():
-    est64 = estimate_resit(quadratic(), 0.5, [10**4])
-    est80 = estimate_resit(quadratic(), 0.5, [10**4], use_longdouble=True)
-    assert abs(est64.samples[0][1] - est80.samples[0][1]) < 1e-9
+            estimate_resit(dataclasses.replace(moebius(), **kwargs), 0.5, [10, 100])
 
 
 def test_non_finite_estimates_are_domain_errors():
     # a = 1e308 makes the prefactor a*ell^2*n^2/log n overflow to inf
     with pytest.raises(DomainError, match="n=1000 is not finite"):
-        estimate_resit(quadratic(), 0.3, [1000, 10000], a=1e308)
+        estimate_resit(dataclasses.replace(quadratic(), a=1e308), 0.3, [1000, 10000])
     # a subnormal a makes 1/(a*ell*n) overflow instead
     with pytest.raises(DomainError, match="n=10 is not finite"):
-        estimate_resit(moebius(), 0.5, [10, 100], a=5e-324)
+        estimate_resit(dataclasses.replace(moebius(), a=5e-324), 0.5, [10, 100])
     flat = GermSpec(
         name="flat", func=lambda x: x - x**41, deriv=lambda x: 1 - 41 * x**40,
         increment=lambda x: -(x**41), ell=40, a=1.0, orientation="contracting", x_max=0.5,
@@ -608,15 +611,27 @@ def _orbit_germs():
 
 
 def test_orbit_loop_matches_the_first_written_loop():
+    # the compensated float pair holds the running sum to ~106 bits, so a
+    # long-double accumulator rounds it to the same floats
     from germres.numerics import _orbit_values
 
     schedules = ([5000, 10, 10, 2, 777, 5000, 3], [1], [20000, 19999])
     for germ, x0 in _orbit_germs():
         assert germ.orbit is None, germ.name
         for ns in schedules:
+            got = repr(_orbit_values(germ, x0, ns))
             for extended in (False, True):
-                got = _orbit_values(germ, x0, ns, extended)
-                assert repr(got) == repr(reference_orbit_values(germ, x0, ns, extended)), (germ.name, ns)
+                assert got == repr(reference_orbit_values(germ, x0, ns, extended)), (germ.name, ns, extended)
+
+
+def test_orbit_loop_matches_the_long_double_loop_at_a_million_steps():
+    from germres.catalog import germ_from_jet
+    from germres.numerics import _orbit_values
+
+    ns = [10**5, 10**6]
+    for germ, x0 in ((quadratic(), 0.5), (germ_from_jet(Jet.of(1, 0, -2, 1), x_max=0.3), 0.3)):
+        got = _orbit_values(germ, x0, ns)
+        assert repr(got) == repr(reference_orbit_values(germ, x0, ns, use_longdouble=True)), germ.name
 
 
 def test_orbit_verbs_match_the_first_written_loop(monkeypatch):
@@ -624,19 +639,16 @@ def test_orbit_verbs_match_the_first_written_loop(monkeypatch):
 
     schedule = [30000, 100, 2000, 100]
     for germ, x0 in _orbit_germs():
-        ours = [
-            estimate_resit(germ, x0, schedule),
-            estimate_resit(germ, x0, schedule, use_longdouble=True),
-            orbit_bound_check(germ, x0, 30000),
-        ]
-        with monkeypatch.context() as m:
-            m.setattr(numerics, "_orbit_values", reference_orbit_values)
-            reference = [
-                estimate_resit(germ, x0, schedule),
-                estimate_resit(germ, x0, schedule, use_longdouble=True),
-                orbit_bound_check(germ, x0, 30000),
-            ]
-        assert repr(ours) == repr(reference), germ.name
+        ours = repr([estimate_resit(germ, x0, schedule), orbit_bound_check(germ, x0, 30000)])
+        for extended in (False, True):
+            with monkeypatch.context() as m:
+                m.setattr(
+                    numerics,
+                    "_orbit_values",
+                    lambda g, x, ns, _ext=extended: reference_orbit_values(g, x, ns, _ext),
+                )
+                reference = [estimate_resit(germ, x0, schedule), orbit_bound_check(germ, x0, 30000)]
+            assert ours == repr(reference), (germ.name, extended)
 
 
 # -- orbit bounds --------------------------------------------------------------
@@ -711,6 +723,12 @@ def test_contour_refuses_too_many_points():
 def test_contour_refuses_non_finite_value():
     with np.errstate(all="ignore"), pytest.raises(ContourError):
         contour_residue(lambda z: z + z * z, 1e308)
+
+
+def test_contour_refuses_a_non_finite_radius():
+    for radius in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(DomainError, match="radius must be finite and positive"):
+            contour_residue(lambda z: z + z * z, radius)
 
 
 # -- divergence diagnostic -----------------------------------------------------

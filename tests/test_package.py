@@ -1,4 +1,5 @@
-"""Package surface: the exact side and the exact CLI verbs run without the float engine."""
+"""Package surface: the exact side, the exact CLI verbs and the orbit verbs
+run without numpy or scipy."""
 
 import json
 import os
@@ -30,6 +31,10 @@ verbs = [
     ["power", "--jet", jet, "--n", "3"],
     ["field", "--jet", jet],
     ["exp", "--field", field, "--time", "1"],
+    ["szekeres", "--expr", "x - x^2 + x^3", "--x0", "0.1", "--n", "1000"],
+    ["szekeres", "--expr", "x - x^2 + x^3*log(x)", "--x0", "0.1", "--n", "1000"],
+    ["estimate-resit", "--expr", "x - x^2 + 1/4*x^3", "--x0", "0.3", "--n", "10000"],
+    ["estimate-resit", "--catalog", "quadratic", "--x0", "0.3", "--schedule", "1000,2000", "--ell", "2"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [germres.cli.main(argv) for argv in verbs]
@@ -56,7 +61,7 @@ def test_exact_side_does_not_load_numpy_or_scipy():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["exact"] == []
-    assert doc["codes"] == [0] * 6
+    assert doc["codes"] == [0] * 10
     assert doc["cli"] == []
     assert doc["scipy_after_tau"]
     assert all(doc["names"].values())
