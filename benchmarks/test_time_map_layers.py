@@ -1,0 +1,43 @@
+"""Layer benchmarks of the time coordinate ``tau``, the time map
+``flow_map`` and the fixed-depth Szekeres loop that the Szekeres fields
+evaluate at every quadrature node.
+
+    PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/ --benchmark-disable   # smoke run
+
+Each field is built once per case, so its tau split is already cached and
+the timings are of the quadrature and the root search alone.
+"""
+
+import pytest
+
+from germres import catalog, numerics
+from germres.catalog import szekeres_numeric_field
+
+FIELDS = {
+    "neg_x2_x3": lambda: catalog.catalog_field("neg_x2_x3"),
+    "szekeres_moebius_100": lambda: szekeres_numeric_field(catalog.moebius(), 100),
+}
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_tau(benchmark, name):
+    """tau from 0.1 down to 1e-3, four decades of log y."""
+    field = FIELDS[name]()
+    numerics.tau(field, 0.1, 1e-3)
+    value = benchmark(numerics.tau, field, 0.1, 1e-3)
+    assert value > 0
+
+
+def test_flow_map_toward_zero(benchmark):
+    """The time-50 image of 0.1 under the flow of -x^2 - x^3 (near 0.017)."""
+    field = catalog.catalog_field("neg_x2_x3")
+    z = benchmark(numerics.flow_map, field, 0.1, 50.0)
+    assert 0.01 < z < 0.02
+
+
+def test_szekeres_field_fixed_depth(benchmark):
+    """One evaluation of the depth-100 Szekeres field of moebius (tol=0)."""
+    germ = catalog.moebius()
+    result = benchmark(numerics.szekeres_field, germ, 0.05, n_max=100, tol=0)
+    assert result.iterations == 100 and not result.converged

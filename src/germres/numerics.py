@@ -28,8 +28,11 @@ field itself (``NumericField._tau_scheme``).  Fields that are exact
 polynomials carry their coefficients as exact rationals, in which case the
 remainder is assembled without any cancellation at all.
 
-numpy and scipy are imported inside the functions that use them, so
-importing this module (as every CLI verb does) loads neither.
+The quadrature of tau and the root search of flow_map are the package's
+own ports of QUADPACK's dqagse and of Brent's method (``germres._solvers``).
+They and numpy are imported inside the functions that use them (numpy only
+in contour_residue and divergence_diagnostic), so importing this module (as
+every CLI verb does) loads neither, and tau and flow_map never load numpy.
 
 Fields, germs and splits are immutable and shared; a split is built once
 and never changed (a race at worst builds it twice).  The one other piece
@@ -46,7 +49,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 from . import jets
@@ -169,21 +172,35 @@ class NumericField:
 def _horner(coeffs, power=0):
     """Evaluator x -> (coeffs[0] + coeffs[1] x + ...) * x**power by Horner's rule.
 
-    Build it once and use the closure itself as the evaluator, so hot loops
-    pay no extra call frame.  Multiplying by x one factor at a time is not
-    the same as one multiplication by x**power in floating point; callers
-    that do the former prepend one -0.0 coefficient per factor instead,
-    since acc*x + -0.0 == acc*x bit for bit (use -0j for complex x).
+    Build it once and use the function itself as the evaluator, so hot
+    loops pay no extra call frame.  It is straight-line code, one statement
+    per coefficient, that starts from 0.0 * x + coeffs[-1] (so an infinite
+    x gives nan, as a loop from acc = 0.0 would).  Multiplying by x one
+    factor at a time is not the same as one multiplication by x**power in
+    floating point; callers that do the former prepend one -0.0 coefficient
+    per factor instead, since acc*x + -0.0 == acc*x bit for bit (use -0j for
+    complex x).
     """
-    rev = tuple(reversed(coeffs))
+    return _horner_factory(len(coeffs), power)(*coeffs)
 
-    def poly(x):
-        acc = 0.0
-        for c in rev:
-            acc = acc * x + c
-        return acc * x**power if power else acc
 
-    return poly
+@lru_cache(maxsize=64)
+def _horner_factory(n, power):
+    """Function (c_0, .., c_(n-1)) -> evaluator, generated once per number
+    of coefficients and power; the coefficients become closure cells, so no
+    value passes through source text."""
+    body = [f"acc = 0.0 * x + c{n - 1}" if n else "acc = 0.0"]
+    body += [f"acc = acc * x + c{i}" for i in range(n - 2, -1, -1)]
+    body.append(f"return acc * x**{int(power)}" if power else "return acc")
+    source = "\n".join([
+        f"def factory({', '.join(f'c{i}' for i in range(n))}):",
+        "    def poly(x):",
+        *(f"        {line}" for line in body),
+        "    return poly",
+    ])
+    namespace = {"__builtins__": {}}
+    exec(compile(source, "<germres polynomial>", "exec"), namespace)
+    return namespace["factory"]
 
 
 def field_from_coeffs(name: str, coeffs: dict, x_max: float = 1.0) -> NumericField:
@@ -368,7 +385,7 @@ def _first_zero(s, x_max: float) -> float:
 
 def tau(field: NumericField, x0: float, x: float) -> float:
     """Time coordinate tau(x) = int_{x0}^x dy / X(y)."""
-    from scipy.integrate import quad
+    from ._solvers import qagse
 
     field.check_point(x0)
     field.check_point(x)
@@ -380,15 +397,7 @@ def tau(field: NumericField, x0: float, x: float) -> float:
         raise DomainError(f"{field.name}: the field vanishes at {sch.zero:.17g}, inside (0, {top}]")
     main = sch.antiderivative(x) - sch.antiderivative(x0)
     try:
-        corr, _err = quad(
-            sch.integrand,
-            math.log(x0 / top),
-            math.log(x / top),
-            args=(top,),
-            epsabs=sch.epsabs,
-            epsrel=sch.epsrel,
-            limit=200,
-        )
+        corr = qagse(sch.integrand, math.log(x0 / top), math.log(x / top), top, sch.epsabs, sch.epsrel, 200)[0]
     except ZeroDivisionError:
         raise DomainError(f"{field.name}: the field vanishes in floating point inside (0, {top}]") from None
     return main + corr
@@ -400,7 +409,7 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
     Raises :class:`ReachabilityError` when the time-t image would leave
     (0, x_max].
     """
-    from scipy.optimize import brentq
+    from ._solvers import brentq
 
     field.check_point(x0)
     if t == 0.0:
@@ -466,9 +475,9 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
             raise ReachabilityError(
                 f"time {t} exceeds the reachable range within (0, {field.x_max}]"
             )
-    root, info = brentq(g, lo, hi, xtol=1e-300, rtol=4 * sys.float_info.epsilon, full_output=True, disp=False)
-    if not info.converged:
-        raise NumericsError(f"time map: the root search stopped after {info.iterations} iterations")
+    root, iterations, _calls, converged = brentq(g, lo, hi, 1e-300, 4 * sys.float_info.epsilon, 100)
+    if not converged:
+        raise NumericsError(f"time map: the root search stopped after {iterations} iterations")
 
     residual = g(root)  # brentq returns a point it has evaluated
     sch = field._tau_scheme

@@ -367,3 +367,17 @@ def reference_eval_d(node, x):
         v, d = reference_eval_d(node[1], x)
         return math.log(v), d / v
     raise AssertionError(kind)
+
+
+def reference_horner(coeffs, power=0):
+    """The Horner evaluator as first written, a loop over the coefficients;
+    the generated straight-line evaluator must match it bit for bit."""
+    rev = tuple(reversed(coeffs))
+
+    def poly(x):
+        acc = 0.0
+        for c in rev:
+            acc = acc * x + c
+        return acc * x**power if power else acc
+
+    return poly

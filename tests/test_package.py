@@ -1,5 +1,6 @@
 """Package surface: the exact side, the exact CLI verbs and the orbit verbs
-run without numpy or scipy."""
+run without numpy or scipy, and the time-map functions and verbs without
+scipy."""
 
 import json
 import os
@@ -39,7 +40,15 @@ verbs = [
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [germres.cli.main(argv) for argv in verbs]
 cli = float_engine()
+solvers_before_tau = "germres._solvers" in sys.modules
 germres.tau(germres.catalog_field("neg_x2"), 0.1, 0.05)
+germres.flow_map(germres.catalog_field("neg_x2_x3"), 0.1, 3.0)
+conjugate = ["conjugate", "--X", "neg_x2_x3", "--Y", "neg_x2", "--x0", "0.1", "--grid", "0.01,0.001"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(germres.cli.main(conjugate))
+time_map = float_engine()
+# positive control: the probe sees a module that a numeric function loads
+germres.contour_residue(lambda z: z - z * z, 0.1)
 names = {name: getattr(germres, name) is not None for name in germres.__all__}
 namespace = {}
 exec("from germres import *", namespace)
@@ -47,7 +56,9 @@ print(json.dumps({
     "exact": exact,
     "codes": codes,
     "cli": cli,
-    "scipy_after_tau": "scipy" in sys.modules,
+    "solvers_before_tau": solvers_before_tau,
+    "time_map": time_map,
+    "contour": float_engine(),
     "names": names,
     "star": sorted(set(germres.__all__) - set(namespace)),
 }))
@@ -61,9 +72,12 @@ def test_exact_side_does_not_load_numpy_or_scipy():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["exact"] == []
-    assert doc["codes"] == [0] * 10
+    assert doc["codes"] == [0] * 11
     assert doc["cli"] == []
-    assert doc["scipy_after_tau"]
+    assert not doc["solvers_before_tau"]  # the exact and orbit verbs do not load the kernels
+    assert not [m for m in doc["time_map"] if m.split(".")[0] == "scipy"]
+    assert "numpy" in doc["contour"]
+    assert not [m for m in doc["contour"] if m.split(".")[0] == "scipy"]
     assert all(doc["names"].values())
     assert doc["star"] == []
 
