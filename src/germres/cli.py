@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -40,7 +41,7 @@ from .jets import (
     Jet,
     NotInvertible,
     OrderError,
-    field_from_dict,
+    field_from_json,
     field_to_dict,
     jet_from_json,
     jet_to_dict,
@@ -109,12 +110,12 @@ def _load_jet(args) -> Jet:
     """A jet from --jet JSON, --expr (expanded exactly), or --catalog."""
     order = DEFAULT_JET_ORDER if args.order is None else args.order
     _check_order(order)
-    if getattr(args, "jet", None):
+    if args.jet is not None:
         f = jet_from_json(args.jet)
-    elif getattr(args, "expr", None):
+    elif args.expr is not None:
         parsed = parse_germ(args.expr)
         f = parsed if isinstance(parsed, Jet) else parsed.to_jet(order)
-    elif getattr(args, "catalog", None):
+    elif args.catalog is not None:
         germ = catalog.catalog_germ(args.catalog)
         if germ.jet_fn is None:
             raise ValueError(f"catalog germ {args.catalog!r} has no exact jet")
@@ -133,9 +134,9 @@ def _load_germ_spec(args) -> numerics.GermSpec:
 
 
 def _build_germ_spec(args) -> numerics.GermSpec:
-    if getattr(args, "catalog", None):
+    if args.catalog is not None:
         return catalog.catalog_germ(args.catalog)
-    if getattr(args, "expr", None):
+    if args.expr is not None:
         parsed = parse_germ(args.expr)
         if not isinstance(parsed, GermExpr):
             raise ValueError("numeric commands need a formula or catalog germ, not a jet")
@@ -266,7 +267,7 @@ def _cmd_field(args):
 
 
 def _cmd_exp(args):
-    X = field_from_dict(json.loads(args.field))
+    X = field_from_json(args.field)
     _check_order(X.order)
     out = field_to_germ(X, args.time)
     doc = {
@@ -340,9 +341,9 @@ def _float(c: Fraction) -> float:
 
 
 def _cmd_contour(args):
-    if args.poly:
+    if args.poly is not None:
         coeffs = [complex(_float(read_rational(part)), 0.0) for part in args.poly.split(",")]
-    elif args.jet:
+    elif args.jet is not None:
         jet = jet_from_json(args.jet)
         coeffs = [_float(jet[n]) for n in range(1, jet.order + 1)]
     else:
@@ -383,7 +384,10 @@ def _add_jet_inputs(p):
     p.add_argument("--order", type=int, help="jet order for --expr/--catalog inputs")
 
 
+@functools.cache
 def build_parser():
+    """The ``germres`` parser, built on the first call and shared by every
+    later one in the process, so callers must not change it."""
     parser = argparse.ArgumentParser(prog="germres", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

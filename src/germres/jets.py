@@ -444,8 +444,18 @@ def jet_to_json(f: Jet) -> str:
     return json.dumps(jet_to_dict(f), sort_keys=True)
 
 
+def _read_json(text: str):
+    """The document in ``text``; text that is not JSON, or nests past the
+    decoder's recursion limit, is a malformed jet document like any other,
+    so it raises CoefficientError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CoefficientError(f"jet JSON does not parse: {exc}") from None
+
+
 def jet_from_json(text: str) -> Jet:
-    return jet_from_dict(json.loads(text))
+    return jet_from_dict(_read_json(text))
 
 
 def field_to_dict(X: FieldJet) -> dict:
@@ -464,4 +474,4 @@ def field_to_json(X: FieldJet) -> str:
 
 
 def field_from_json(text: str) -> FieldJet:
-    return field_from_dict(json.loads(text))
+    return field_from_dict(_read_json(text))

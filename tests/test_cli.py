@@ -227,11 +227,17 @@ def test_bad_jet_json_gives_strict_error(capsys):
         (("exp", "--field", '{"coeffs":["1"]}', "--time", "1"), "CoefficientError"),
         (("residue", "--jet", '{"order":2,"coeffs":5}'), "CoefficientError"),
         (("residue", "--jet", '{"order":2,"coeffs":["1","1/2"],"carrier":"integer"}'), "CoefficientError"),
+        # text that is not JSON is a malformed document, not json's JSONDecodeError
+        (("residue", "--jet", "abc"), "CoefficientError"),
+        (("exp", "--field", "abc", "--time", "1"), "CoefficientError"),
+        (("contour", "--jet", "abc", "--radius", "0.1"), "CoefficientError"),
+        (("residue", "--expr", "{abc"), "CoefficientError"),  # a formula starting with "{" is a jet document
+        (("residue", "--jet", "[" * 100_000), "CoefficientError"),
     ]
     for argv, expected in cases:
         code, out = run_cli(capsys, *argv)
-        assert code == 1
-        assert strict_error_code(out) == expected
+        assert code == 1, argv[:2]
+        assert strict_error_code(out) == expected, argv[:2]
 
 
 def test_out_of_range_sizes_are_refused(capsys):
@@ -471,3 +477,66 @@ def test_non_finite_estimate_is_a_domain_error(capsys):
     assert code == 1
     assert strict_error_code(out) == "DomainError"
     assert "n=1000 is not finite" in json.loads(out)["error"]["message"]
+
+
+def test_an_empty_value_is_read_not_reported_missing(capsys):
+    # an empty flag value goes to its own reader, not to "need one of ..."
+    cases = [
+        (["residue", "--expr="], "ParseError", None),
+        (["residue", "--jet="], "CoefficientError", None),
+        (["residue", "--catalog="], "KeyError", "unknown catalog germ ''"),
+        (["szekeres", "--expr=", "--x0", "0.1"], "ParseError", None),
+        (["szekeres", "--catalog=", "--x0", "0.1"], "KeyError", "unknown catalog germ ''"),
+        (["estimate-resit", "--expr=", "--x0", "0.1"], "ParseError", None),
+        (["estimate-resit", "--catalog=", "--x0", "0.1"], "KeyError", "unknown catalog germ ''"),
+        (["contour", "--poly=", "--radius", "0.1"], "CoefficientError", None),
+        (["contour", "--jet=", "--radius", "0.1"], "CoefficientError", None),
+    ]
+    for argv, expected, message in cases:
+        code, out = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert strict_error_code(out) == expected, argv
+        if message is not None:
+            assert json.loads(out)["error"]["message"] == message, argv
+    # with no value at all the flag is still reported missing
+    code, out = run_cli(capsys, "residue")
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "ValueError", "message": "need one of --jet / --expr / --catalog"}
+
+
+# one process, one parser: each call must answer as a fresh process does,
+# whatever the calls before it set
+PARSER_REUSE_SEQUENCE = [
+    ["estimate-resit", "--catalog", "quadratic", "--x0", "0.3", "--n", "10000", "--ell", "2"],
+    ["estimate-resit", "--catalog", "quadratic", "--x0", "0.3", "--n", "10000"],
+    ["estimate-resit", "--catalog", "moebius", "--x0", "0.3", "--n", "10000", "--format", "csv"],
+    ["estimate-resit", "--catalog", "moebius", "--x0", "0.3", "--n", "10000"],
+    ["power", "--expr", "x - x^2", "--order", "5", "--n", "3"],
+    ["residue", "--expr", "x - x^2", "--no-such-flag", "1"],
+    ["szekeres", "--catalog", "quadratic", "--x0", "0.1", "--n", "100"],
+    ["estimate-resit", "--catalog", "quadratic", "--x0", "0.3", "--n", "1000"],
+    ["power", "--expr", "x - x^2", "--order", "5", "--n", "-2"],
+    ["residue", "--expr", "x - x^2", "--order", "5"],
+    ["--help"],
+    ["szekeres", "--catalog", "quadratic", "--x0", "0.1"],
+]
+
+
+def test_reused_parser_answers_as_fresh_processes(capsys, monkeypatch):
+    from germres import cli
+
+    # help and usage wrap at the terminal width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.build_parser() is cli.build_parser()
+    in_process = []
+    for argv in PARSER_REUSE_SEQUENCE:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0]
+    for argv, answer in zip(PARSER_REUSE_SEQUENCE, in_process):
+        proc = run_cli_process(argv)
+        assert answer == (proc.returncode, proc.stdout, proc.stderr), argv

@@ -347,6 +347,10 @@ def test_json_reader_is_shared_by_jets_and_fields():
         ('{"order": 2, "coeffs": 5}', CoefficientError),
         ('{"order": "x", "coeffs": []}', OrderError),
         ('{"order": true, "coeffs": ["1"]}', OrderError),
+        # text that is not JSON at all is a malformed document too
+        ("abc", CoefficientError),
+        ("", CoefficientError),
+        ("[" * 100_000, CoefficientError),
     ]
     for text, error in shapes:
         for reader in (jet_from_json, field_from_json):
