@@ -10,6 +10,7 @@ the cost of one step.
 """
 
 import argparse
+import dataclasses
 
 import pytest
 
@@ -28,6 +29,9 @@ GERMS = {
     "quadratic": catalog.quadratic,
     "germ_from_jet": lambda: catalog.germ_from_jet(Jet.of(1, -1, 1, 0)),
     "expr": lambda: _expr_germ("x - x^2 + 1/4*x^3"),
+    # an opaque closure, called once per step: the path the inlined
+    # increments above no longer take
+    "opaque_closure": lambda: dataclasses.replace(catalog.ramified_flow(2, 1), orbit=None),
 }
 
 
@@ -36,7 +40,7 @@ def test_orbit_values(benchmark, name):
     germ = GERMS[name]()
     assert germ.orbit is None
     out = benchmark(numerics._orbit_values, germ, 0.3, [STEPS])
-    assert 0.0 < out[STEPS] < 1e-4
+    assert 0.0 < out[STEPS] < 1e-2  # ~1e-5 at ell = 1, ~2e-3 at ell = 2
 
 
 FORMULAS = ("x/(1+2*x)", "x - x^2 + 1/4*x^3", "x + x^2 + x^3*log(x)")

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .jets import CoefficientError, Jet, OrderError, read_rational
 from .normal_form import tangency_order
-from .numerics import DomainError, GermSpec, NumericField, _horner, field_from_coeffs, szekeres_field
+from .numerics import DomainError, GermSpec, NumericField, _codegen, _horner, field_from_coeffs, szekeres_field
 
 
 def _quadratic_jet(order: int) -> Jet:
@@ -58,12 +58,16 @@ def _ramified_jet(ell: int, t: Fraction, order: int) -> Jet:
     return Jet(tuple(coeffs))
 
 
+# generated, so that the orbit loop inlines it
+_quadratic_increment = _codegen((), "-x * x", name="increment")()
+
+
 def quadratic() -> GermSpec:
     return GermSpec(
         name="quadratic",
         func=lambda x: x - x * x,
         deriv=lambda x: 1.0 - 2.0 * x,
-        increment=lambda x: -x * x,
+        increment=_quadratic_increment,
         ell=1,
         a=1.0,
         orientation="contracting",

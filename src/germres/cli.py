@@ -143,7 +143,7 @@ def _build_germ_spec(args) -> numerics.GermSpec:
         tag = parsed.catalog_tag()
         if tag is not None:
             return catalog.catalog_germ(tag)
-        func, deriv = parsed.func, parsed.deriv
+        func, deriv, increment = parsed.func, parsed.deriv, parsed.increment
         try:
             # a rational formula regular at 0 gets exact flatness data; the
             # formula itself stays the evaluator
@@ -152,7 +152,7 @@ def _build_germ_spec(args) -> numerics.GermSpec:
                 name=f"expr[{parsed.text}]",
                 func=func,
                 deriv=deriv,
-                increment=lambda x: func(x) - x,
+                increment=increment,
             )
         except NotASeries:
             pass
@@ -162,7 +162,7 @@ def _build_germ_spec(args) -> numerics.GermSpec:
             name=f"expr[{parsed.text}]",
             func=func,
             deriv=deriv,
-            increment=lambda x: func(x) - x,
+            increment=increment,
             ell=1,
             a=1.0,
             orientation=orientation,

@@ -16,19 +16,24 @@ mode), exact truncated-series expansion over the :mod:`germres.jets` kernel
 (when the expression is a ratio of polynomials in disguise), and
 fingerprint matching against the germ catalog.
 
-Float evaluation runs Python code generated once per formula: a function
-``value(x)`` and a function ``derivative(x)``, each a flat list of
+Float evaluation runs Python code generated once per formula by
+``numerics._codegen``: a function ``value(x)``, a function
+``derivative(x)`` and a function ``increment(x)``, each a flat list of
 assignments ``t3 = t1 * t2``, one per operation of the AST, in the order
-the chains give.  ``derivative`` computes the value alongside, by the sum,
-product, quotient, power and log rules applied literally (no algebraic
-simplification), so signed zeros and exceptions are those of the rules.
+the chains give.  ``increment`` is the body of ``value`` with ``- x``
+applied to its result, the same float operation as ``value(x) - x``; the
+orbit loop of ``numerics`` inlines that body.  ``derivative`` computes
+the value alongside, by the sum, product, quotient, power and log rules
+applied literally (no algebraic simplification), so signed zeros and
+exceptions are those of the rules.
 Being flat, the source stays within the compiler's limits at any nesting
 the parser allows.  No text of the formula reaches it: the only pieces are
 ``repr(float(c))`` of each literal c, ``repr`` of integer exponents, the
 parameter ``x``, numbered locals, the operators ``+ - * / **`` and
 ``math.log``, which the generated code sees as ``_log`` in a namespace
-without builtins.  Generating costs the compiler about 40 us and a few KB
-of transient memory per operation of the AST, once per formula and only
+without builtins.  Generating the three costs the compiler about 0.2 ms
+for a formula of a few operations, plus about 30 us and a few KB of
+transient memory per operation of the AST, once per formula and only
 when a float evaluator is first used; each call then costs about 0.1 us
 per operation.
 """
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import jets
+from . import jets, numerics
 from .catalog import catalog_germ
 from .jets import CoefficientError, Jet, OrderError
 
@@ -204,6 +209,9 @@ def _literal(value: Fraction, what: str) -> str:
 
 _OPERATORS = {("sum", False): "+", ("sum", True): "-", ("prod", False): "*", ("prod", True): "/"}
 
+# the globals of the generated functions (no builtins)
+_NAMESPACE = (("_log", math.log),)
+
 
 class _Emitter:
     """Flat function body: one assignment to a fresh local per operation."""
@@ -213,7 +221,7 @@ class _Emitter:
 
     def emit(self, expression: str) -> str:
         name = f"t{len(self.lines)}"
-        self.lines.append(f"    {name} = {expression}")
+        self.lines.append(f"{name} = {expression}")
         return name
 
     def value(self, node) -> str:
@@ -274,21 +282,22 @@ class _Emitter:
             return self.emit(f"_log({v})"), self.emit(f"{d} / {v}")
         raise AssertionError(kind)
 
-    def function(self, name: str, result: str) -> str:
-        return "\n".join([f"def {name}(x):", *self.lines, f"    return {result}"])
+    def function(self, name: str, result: str):
+        """The generated function ``name(x)``: these lines, then ``result``."""
+        return numerics._codegen(self.lines, result, namespace=_NAMESPACE, name=name, filename="<germres formula>")()
 
 
 def _generate(ast):
-    """(value, derivative) functions of ``x`` for a parsed formula, from one
-    generated flat source (see the module docstring)."""
+    """(value, derivative, increment) functions of ``x`` for a parsed
+    formula, each generated flat (see the module docstring); the increment
+    is the value's body with ``- x`` applied to its result."""
     value, both = _Emitter(), _Emitter()
-    source = "\n\n".join([
-        value.function("value", value.value(ast)),
+    result = value.value(ast)
+    return (
+        value.function("value", result),
         both.function("derivative", both.value_and_derivative(ast)[1]),
-    ])
-    namespace = {"__builtins__": {}, "_log": math.log}
-    exec(compile(source, "<germres formula>", "exec"), namespace)
-    return namespace["value"], namespace["derivative"]
+        value.function("increment", f"{result} - x"),
+    )
 
 
 # -- truncated series of an expression (degrees 0..order, Fractions) --------
@@ -347,9 +356,9 @@ def _series(node, order):
 
 
 class _Generated:
-    """``GermExpr.func`` / ``deriv``: read on an instance, the generated
-    function itself, built on first use, so callers bind it once and pay no
-    method frame per call.  Called on the class, as ``GermExpr.func(e, x)``,
+    """``GermExpr.func`` / ``deriv`` / ``increment``: read on an instance,
+    the generated function itself, built on first use, so callers bind it
+    once and pay no method frame per call.  Called on the class, as ``GermExpr.func(e, x)``,
     it evaluates like a method, so a wrapper installed on the class (the
     counting tracer of ``perfbench``) still sees every call made through
     the attribute."""
@@ -382,6 +391,7 @@ class GermExpr:
     func = _Generated(0)
     __call__ = func
     deriv = _Generated(1)
+    increment = _Generated(2)
 
     def to_jet(self, order: int) -> Jet:
         if order < 1:

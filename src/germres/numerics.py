@@ -50,7 +50,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from itertools import repeat
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import jets
 
@@ -64,10 +65,11 @@ TAU_ABS_TOL = 1e-10
 MAX_CONTOUR_POINTS = 1 << 20
 
 # orbit loops run in Python; per step, on a 2-vCPU Xeon VM with Python 3.11,
-# the estimate_resit loop takes ~0.11 us on `quadratic` and ~0.3 us on a
-# germ_from_jet polynomial or an --expr germ, and the szekeres_field loop
-# ~0.23 us (tol = 0) to ~0.33 us.  So this many steps take 1-3.3 s; longer
-# orbits are refused before the loop starts
+# the estimate_resit loop takes ~0.08 us on `quadratic`, ~0.19 us on a
+# germ_from_jet polynomial, ~0.21 us on an --expr germ and ~0.29 us on an
+# increment it has to call, and the szekeres_field loop ~0.23 us (tol = 0)
+# to ~0.33 us.  So this many steps take 1-3.3 s; longer orbits are refused
+# before the loop starts
 MAX_ORBIT_STEPS = 10**7
 
 # an exact polynomial field's first zero is found by a Sturm search over the
@@ -111,8 +113,12 @@ class GermSpec:
 
     ``a`` is the positive magnitude of the leading higher-order
     coefficient: f(x) = x -+ a x^{ell+1} + ... with the sign fixed by
-    ``orientation``.  ``increment`` must return f(x) - x without
-    cancellation; ``orbit``, when present, is an exact closed form
+    ``orientation``.  ``increment`` returns f(x) - x; the catalog's closed
+    forms compute it without cancellation, but the CLI's ``--expr`` germs
+    compute f(x) - x as written, so near 0 it keeps only the absolute
+    accuracy of f(x).  The orbit loop inlines an increment that
+    ``_codegen`` generated and calls any other one at every step.
+    ``orbit``, when present, is an exact closed form
     (x0, n) -> f^n(x0); ``jet_fn``, when present, returns the exact jet of
     the germ at a requested order.
     """
@@ -169,6 +175,48 @@ class NumericField:
         return _TauScheme(self)
 
 
+class _Body(NamedTuple):
+    """What a generated function of x computes: the assignment ``lines``,
+    then ``result``.  It reads ``params`` as closure cells bound to
+    ``values`` and the (name, object) pairs of ``namespace`` as globals.
+    ``code`` is the function's code object, so a wrapper that copies the
+    record (``functools.wraps`` does) is not taken for the function."""
+
+    lines: tuple
+    result: str
+    params: tuple
+    namespace: tuple
+    values: tuple
+    code: object
+
+
+def _codegen(lines, result, params=(), namespace=(), args="x", name="generated", filename="<germres>"):
+    """Factory (*values of ``params``) -> function ``name(args)`` that runs
+    the statements ``lines`` and returns ``result``, compiled once from
+    source.  The params become closure cells and ``namespace`` the globals,
+    with no builtins, so no value passes through the source text.  Each
+    function made records its body as ``_germres_body`` (a ``_Body``),
+    which the orbit loop inlines."""
+    source = "\n".join([
+        f"def factory({', '.join(params)}):",
+        f"    def {name}({args}):",
+        *(f"        {line}" for line in lines),
+        f"        return {result}",
+        f"    return {name}",
+    ])
+    scope = {**dict(namespace), "__builtins__": {}}
+    exec(compile(source, filename, "exec"), scope)
+    factory = scope["factory"]
+    lines, params, namespace = tuple(lines), tuple(params), tuple(namespace)
+
+    def make(*values):
+        fn = factory(*values)
+        fn._germres_body = _Body(lines, result, params, namespace, values, fn.__code__)
+        return fn
+
+    return make
+
+
 def _horner(coeffs, power=0):
     """Evaluator x -> (coeffs[0] + coeffs[1] x + ...) * x**power by Horner's rule.
 
@@ -189,18 +237,10 @@ def _horner_factory(n, power):
     """Function (c_0, .., c_(n-1)) -> evaluator, generated once per number
     of coefficients and power; the coefficients become closure cells, so no
     value passes through source text."""
-    body = [f"acc = 0.0 * x + c{n - 1}" if n else "acc = 0.0"]
-    body += [f"acc = acc * x + c{i}" for i in range(n - 2, -1, -1)]
-    body.append(f"return acc * x**{int(power)}" if power else "return acc")
-    source = "\n".join([
-        f"def factory({', '.join(f'c{i}' for i in range(n))}):",
-        "    def poly(x):",
-        *(f"        {line}" for line in body),
-        "    return poly",
-    ])
-    namespace = {"__builtins__": {}}
-    exec(compile(source, "<germres polynomial>", "exec"), namespace)
-    return namespace["factory"]
+    lines = [f"acc = 0.0 * x + c{n - 1}" if n else "acc = 0.0"]
+    lines += [f"acc = acc * x + c{i}" for i in range(n - 2, -1, -1)]
+    result = f"acc * x**{int(power)}" if power else "acc"
+    return _codegen(lines, result, [f"c{i}" for i in range(n)], name="poly", filename="<germres polynomial>")
 
 
 def field_from_coeffs(name: str, coeffs: dict, x_max: float = 1.0) -> NumericField:
@@ -600,29 +640,53 @@ class ResitEstimate:
     x0: float
 
 
+# the increment of a germ whose increment records no body: one call per step
+_CALL_INCREMENT = _Body((), "_inc(x)", ("_inc",), (), (), None)
+
+
+@lru_cache(maxsize=64)
+def _orbit_kernel(lines, result, params, namespace):
+    """Factory (*values of ``params``) -> orbit(x, _c, _m), which runs _m
+    compensated steps x <- x + (f(x) - x), _c carrying the compensation,
+    and returns (x, _c).  The increment's body (``lines`` then ``result``)
+    is inlined, so a step makes no call.  Generated once per body; body
+    locals must not start with an underscore."""
+    step = [
+        "for _ in _repeat(None, _m):",
+        *(f"    {line}" for line in lines),
+        f"    _d = ({result}) - _c",
+        "    _s = x + _d",
+        "    _c = (_s - x) - _d",
+        "    x = _s",
+    ]
+    namespace += (("_repeat", repeat),)
+    return _codegen(step, "x, _c", params, namespace, args="x, _c, _m", name="orbit", filename="<germres orbit>")
+
+
 def _orbit_values(germ: GermSpec, x0: float, ns: Sequence[int]):
     """{n: f^n(x0)} for the orbit lengths ``ns`` (n >= 0, any order,
     repeats allowed), by one compensated loop over the sorted lengths.
 
     The pair (x, comp) carries the running sum to about twice float
     precision, so each checkpoint is the float nearest that sum; no wider
-    accumulator changes it."""
+    accumulator changes it.  A generated increment (``_codegen``) is
+    inlined into the loop; any other callable, a wrapper of a generated
+    one included, is called once per step."""
     if germ.orbit is not None:
         return {n: float(germ.orbit(x0, n)) for n in ns}
     ns = sorted(set(ns))
     if ns[-1] > MAX_ORBIT_STEPS:
         raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {ns[-1]}")
     inc = germ.increment
+    body = getattr(inc, "_germres_body", None)
+    if body is None or body.code is not getattr(inc, "__code__", None):
+        body = _CALL_INCREMENT._replace(values=(inc,))
+    orbit = _orbit_kernel(*body[:4])(*body.values)
     x, comp = float(x0), 0.0
     out = {}
     k = 0
     for n in ns:
-        # compensated update x <- x + (f(x) - x), from step k to step n
-        for _ in range(n - k):
-            d = inc(x) - comp
-            t = x + d
-            comp = (t - x) - d
-            x = t
+        x, comp = orbit(x, comp, n - k)
         out[n] = x
         k = n
     return out

@@ -297,6 +297,19 @@ def reference_orbit_values(germ, x0, ns, use_longdouble):
     return out
 
 
+def counting(fn):
+    """(wrapper, calls): ``fn`` behind a plain wrapper that counts its calls
+    in the one-element list ``calls``, the shape of the benchmark's
+    counting tracer; the wrapper carries no generated body."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    return counted, calls
+
+
 def reference_compile(node):
     """Evaluator x -> float value of a parsed formula, as a tree of
     closures; the generated value function must match it bit for bit."""

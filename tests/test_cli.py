@@ -1,5 +1,6 @@
 """Command-line interface: JSON shape, determinism, round trips, errors."""
 
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import time
 import pytest
 
 import germres
-from germres import Jet, jet_from_json, jet_to_json, normal_form
+from germres import Jet, cli, jet_from_json, jet_to_json, normal_form
 from germres.cli import MAX_JET_ORDER, main
 
 
@@ -95,6 +96,36 @@ def test_estimate_resit_command(capsys):
     assert abs(doc["result"]["extrapolated"]) <= 0.2
     ns = [n for n, _v in doc["result"]["samples"]]
     assert ns == [1000, 10000, 100000, 1000000]
+
+
+# stdout of the two commands at the commit before the orbit loop inlined
+# generated increments; the loop must keep every bit
+ORBIT_GOLDEN = [
+    (
+        ["estimate-resit", "--catalog", "quadratic", "--x0", "0.35", "--n", "1000000"],
+        '{"inputs": {"catalog": "quadratic", "n": 1000000, "x0": 0.35}, "paper_refs": ["orbit-deviation-estimator"], "result": {"converged": true, "extrapolated": 1.0006396424073727, "samples": [[1000, 1.2867521875845245], [10000, 1.2215444836002456], [100000, 1.178094394415952], [1000000, 1.1485186024145222]]}}\n',
+    ),
+    (
+        ["estimate-resit", "--expr", "x - x^2 + 1/2*x^3", "--x0", "0.25", "--n", "100000"],
+        '{"inputs": {"expr": "x - x^2 + 1/2*x^3", "n": 100000, "x0": 0.25}, "paper_refs": ["orbit-deviation-estimator"], "result": {"converged": false, "extrapolated": 0.5022034821651657, "samples": [[1000, 0.9715206862341693], [10000, 0.8575629401804612], [100000, 0.7864910485774022]]}}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ORBIT_GOLDEN)
+def test_estimate_resit_output_is_unchanged_bit_for_bit(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "text", ["x - x^2 + 3/4*x^3", "x/(1+x) - x^3", "x - x^2 + x^3*log(x)"]  # polynomial, rational, log
+)
+def test_expr_increment_is_the_value_minus_x_bit_for_bit(text):
+    germ = cli._load_germ_spec(argparse.Namespace(expr=text, catalog=None, ell=None, a=None))
+    assert germ.increment.__name__ == "increment" and hasattr(germ.increment, "_germres_body")
+    for k in range(1, 1001):
+        x = germ.x_max * k / 1000
+        assert repr(germ.increment(x)) == repr(germ.func(x) - x), (text, x)
 
 
 def test_estimate_resit_csv(capsys):

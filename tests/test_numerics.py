@@ -42,7 +42,7 @@ from germres.numerics import (
     ReachabilityError,
 )
 
-from helpers import reference_flow_map, reference_orbit_values, reference_szekeres
+from helpers import counting, reference_flow_map, reference_orbit_values, reference_szekeres
 
 
 # -- time maps ----------------------------------------------------------------
@@ -649,6 +649,43 @@ def test_orbit_verbs_match_the_first_written_loop(monkeypatch):
                 )
                 reference = [estimate_resit(germ, x0, schedule), orbit_bound_check(germ, x0, 30000)]
             assert ours == repr(reference), (germ.name, extended)
+
+
+def test_orbit_loop_calls_an_increment_without_a_body_once_per_step():
+    # an opaque closure, a plain counting wrapper around a generated
+    # increment and a wrapper that copies its body record (functools.wraps
+    # does) are called, not inlined, so each sees every step
+    import functools
+
+    from germres.numerics import _orbit_values
+
+    def copying(fn):
+        calls = [0]
+
+        @functools.wraps(fn)
+        def wrapper(x):
+            calls[0] += 1
+            return fn(x)
+
+        assert wrapper._germres_body is fn._germres_body
+        return wrapper, calls
+
+    opaque_calls = [0]
+
+    def opaque(x):
+        opaque_calls[0] += 1
+        return -x * x
+
+    ns = [5000, 10, 10, 2, 777, 3]
+    germs = [(g, x0) for g, x0 in _orbit_germs() if hasattr(g.increment, "_germres_body")]
+    assert len(germs) == 6
+    cases = [(quadratic(), 0.3, opaque, opaque_calls)]
+    for wrap in (counting, copying):
+        cases += [(g, x0, *wrap(g.increment)) for g, x0 in germs]
+    for germ, x0, inc, calls in cases:
+        got = repr(_orbit_values(dataclasses.replace(germ, increment=inc), x0, ns))
+        assert calls[0] == max(ns), germ.name
+        assert got == repr(reference_orbit_values(germ, x0, ns, False)), germ.name
 
 
 # -- orbit bounds --------------------------------------------------------------

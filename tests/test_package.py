@@ -4,6 +4,7 @@ scipy."""
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -89,3 +90,11 @@ def test_public_names_resolve_and_are_listed():
     assert set(germres.__all__) <= set(dir(germres))
     assert germres.flow_map is germres.numerics.flow_map
     assert germres.moebius is germres.catalog.moebius
+
+
+def test_generated_code_is_compiled_in_one_place():
+    # Horner evaluators, formula evaluators and the orbit loop all come
+    # from numerics._codegen
+    package = pathlib.Path(germres.__file__).parent
+    sites = [path.name for path in sorted(package.glob("*.py")) for line in path.read_text().splitlines() if "exec(" in line]
+    assert sites == ["numerics.py"]
