@@ -10,10 +10,8 @@ germ/field correspondence (:mod:`germres.flows`).
 Numeric side: Szekeres fields, time-coordinate flows and canonical
 conjugacies, the orbit-deviation residue estimator, contour residues and
 divergence diagnostics (:mod:`germres.numerics`), with a catalog of worked
-germs and fields (:mod:`germres.catalog`).  Importing the package does not
-load numpy, and neither do the exact side, the exact CLI verbs and the
-time-map functions: only the contour residue and the divergence diagnostic
-use it, and they import it on first call.
+germs and fields (:mod:`germres.catalog`).  The package runs on the
+standard library alone.
 """
 
 from .jets import (

@@ -59,7 +59,7 @@ def _ramified_jet(ell: int, t: Fraction, order: int) -> Jet:
 
 
 # generated, so that the orbit loop inlines it
-_quadratic_increment = _codegen((), "-x * x", name="increment")()
+_quadratic_increment, = _codegen([("increment", (), "-x * x")])()
 
 
 def quadratic() -> GermSpec:

@@ -31,11 +31,11 @@ the parser allows.  No text of the formula reaches it: the only pieces are
 ``repr(float(c))`` of each literal c, ``repr`` of integer exponents, the
 parameter ``x``, numbered locals, the operators ``+ - * / **`` and
 ``math.log``, which the generated code sees as ``_log`` in a namespace
-without builtins.  Generating the three costs the compiler about 0.2 ms
-for a formula of a few operations, plus about 30 us and a few KB of
-transient memory per operation of the AST, once per formula and only
-when a float evaluator is first used; each call then costs about 0.1 us
-per operation.
+without builtins.  The three are generated from one source in one
+``compile``, which costs about 0.1 ms for a formula of a few operations,
+plus about 20 us and a few KB of transient memory per operation of the
+AST (2-vCPU Xeon VM, Python 3.11), once per formula and only when a float
+evaluator is first used; each call then costs about 0.1 us per operation.
 """
 
 from __future__ import annotations
@@ -282,22 +282,21 @@ class _Emitter:
             return self.emit(f"_log({v})"), self.emit(f"{d} / {v}")
         raise AssertionError(kind)
 
-    def function(self, name: str, result: str):
-        """The generated function ``name(x)``: these lines, then ``result``."""
-        return numerics._codegen(self.lines, result, namespace=_NAMESPACE, name=name, filename="<germres formula>")()
-
 
 def _generate(ast):
     """(value, derivative, increment) functions of ``x`` for a parsed
-    formula, each generated flat (see the module docstring); the increment
-    is the value's body with ``- x`` applied to its result."""
+    formula, each generated flat (see the module docstring) and all three
+    compiled from one source; the increment is the value's body with
+    ``- x`` applied to its result."""
     value, both = _Emitter(), _Emitter()
     result = value.value(ast)
-    return (
-        value.function("value", result),
-        both.function("derivative", both.value_and_derivative(ast)[1]),
-        value.function("increment", f"{result} - x"),
-    )
+    derivative = both.value_and_derivative(ast)[1]
+    functions = [
+        ("value", value.lines, result),
+        ("derivative", both.lines, derivative),
+        ("increment", value.lines, f"{result} - x"),
+    ]
+    return numerics._codegen(functions, namespace=_NAMESPACE, filename="<germres formula>")()
 
 
 # -- truncated series of an expression (degrees 0..order, Fractions) --------

@@ -394,3 +394,31 @@ def reference_horner(coeffs, power=0):
         return acc * x**power if power else acc
 
     return poly
+
+
+def reference_contour_residue(f, radius, points=256):
+    """The contour residue as first computed on numpy arrays (a mean of
+    z / (z - f(z)) over the circle); the package's value must agree with it."""
+    import numpy as np
+
+    from germres.numerics import ContourError
+
+    theta = 2.0 * np.pi * np.arange(points) / points
+    z = radius * np.exp(1j * theta)
+    with np.errstate(all="ignore"):
+        w = np.array([zi - f(zi) for zi in z])
+        if (np.abs(w) < 1e-12 * radius).any():
+            raise ContourError("z - f(z) vanishes on or near the contour")
+        return complex(np.mean(z / w))
+
+
+def reference_fit(us, vs):
+    """(slope, intercept, correlation, max_abs_ratio) of the divergence
+    diagnostic's line fit as first computed on numpy (polyfit, allclose,
+    corrcoef); the package's closed form must agree with it."""
+    import numpy as np
+
+    slope, intercept = np.polyfit(us, vs, 1)
+    vv = np.asarray(vs)
+    corr = 0.0 if np.allclose(vv, vv[0], atol=1e-12) else float(np.corrcoef(us, vs)[0, 1])
+    return float(slope), float(intercept), corr, float(np.max(np.abs(vv)))

@@ -225,9 +225,13 @@ def test_contour_non_finite_is_an_error(capsys):
 
 
 def test_contour_errors_print_nothing_to_stderr():
-    # overflow on the circle is a ContourError, not a numpy RuntimeWarning
-    for radius, expected in (("nan", "DomainError"), ("inf", "DomainError"), ("1e308", "ContourError")):
-        proc = run_cli_process(["contour", "--poly", "1,1,0.7", "--radius", radius])
+    # overflow on the circle is a ContourError, not a warning or a traceback;
+    # at radius 1.4e154, |z - f(z)| passes the float range while both of its
+    # parts are finite, so abs() raises OverflowError
+    cases = [("1,1,0.7", "nan", "DomainError"), ("1,1,0.7", "inf", "DomainError"), ("1,1,0.7", "1e308", "ContourError")]
+    cases.append(("1,1", "1.4e154", "ContourError"))
+    for poly, radius, expected in cases:
+        proc = run_cli_process(["contour", "--poly", poly, "--radius", radius])
         assert proc.returncode == 1, radius
         assert strict_error_code(proc.stdout) == expected, radius
         assert proc.stderr == "", radius

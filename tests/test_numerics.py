@@ -2,8 +2,10 @@
 contour residues, conjugacies, diagnostics."""
 
 import argparse
+import cmath
 import dataclasses
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -29,6 +31,7 @@ from germres import (
     szekeres_field,
     tau,
 )
+from germres import numerics
 from germres.catalog import szekeres_numeric_field
 from germres.numerics import (
     MAX_CONTOUR_POINTS,
@@ -40,9 +43,17 @@ from germres.numerics import (
     NumericField,
     ProductUnderflow,
     ReachabilityError,
+    _horner,
 )
 
-from helpers import counting, reference_flow_map, reference_orbit_values, reference_szekeres
+from helpers import (
+    counting,
+    reference_contour_residue,
+    reference_fit,
+    reference_flow_map,
+    reference_orbit_values,
+    reference_szekeres,
+)
 
 
 # -- time maps ----------------------------------------------------------------
@@ -758,8 +769,41 @@ def test_contour_refuses_too_many_points():
 
 
 def test_contour_refuses_non_finite_value():
-    with np.errstate(all="ignore"), pytest.raises(ContourError):
+    with pytest.raises(ContourError):
         contour_residue(lambda z: z + z * z, 1e308)
+    # |z - f(z)| past the float range with both parts finite: abs() raises
+    # OverflowError, which is the same refusal
+    with pytest.raises(ContourError, match="not finite"):
+        contour_residue(_horner([-0j, 1.0, 1.0]), 1.4e154)
+
+
+def test_contour_matches_the_numpy_reference():
+    # drawn z + a2 z^2 + ... (1 <= |a2| <= 2, later coefficients in [-1, 1],
+    # so no other fixed point lies in |z| < 1/2) on radii 0.1..0.3 and
+    # 8..2048 points.  numpy's pairwise mean is only good to about
+    # eps * max|z / (z - f(z))|, which these radii keep below about 20
+    rng = random.Random(17)
+    for _ in range(200):
+        a2 = rng.choice((-1, 1)) * rng.uniform(1, 2)
+        coeffs = [-0j, 1.0, a2] + [rng.uniform(-1, 1) for _ in range(rng.randint(0, 4))]
+        f, radius, points = _horner(coeffs), rng.uniform(0.1, 0.3), rng.randint(8, 2048)
+        value, ref = contour_residue(f, radius, points), reference_contour_residue(f, radius, points)
+        assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref)), (coeffs, radius, points)
+
+
+def test_contour_mean_is_rounded_from_the_exact_sum():
+    # small radii make the terms z / (z - f(z)) large and their mean small:
+    # each part of the value is still the exact mean of the samples, rounded
+    # twice (the sum, then the division by the point count)
+    rng = random.Random(5)
+    for _ in range(60):
+        coeffs = [-0j, 1.0] + [rng.choice((-1, 1)) * rng.uniform(0.5, 2) for _ in range(rng.randint(1, 5))]
+        f, radius, points = _horner(coeffs), rng.uniform(0.005, 0.05), rng.randint(8, 2048)
+        value = contour_residue(f, radius, points)
+        terms = [z / (z - f(z)) for z in (cmath.rect(radius, 2.0 * math.pi * k / points) for k in range(points))]
+        for got, parts in ((value.real, [q.real for q in terms]), (value.imag, [q.imag for q in terms])):
+            exact = float(sum(map(F, parts)) / points)
+            assert abs(got - exact) <= 2 * math.ulp(exact), (coeffs, radius, points)
 
 
 def test_contour_refuses_a_non_finite_radius():
@@ -794,6 +838,52 @@ def test_diagnostic_equal_mu_bounded():
     report = divergence_diagnostic(X, Y, [1e-2, 1e-3, 1e-4, 1e-5])
     assert abs(report.slope) < 0.05
     assert report.max_abs_ratio < 5.0
+
+
+def test_diagnostic_fit_matches_the_numpy_reference(monkeypatch):
+    # drawn lines v = a log(1/x) + b + noise on drawn grids, through a
+    # stand-in conjugacy h(x) = x + v x^2.  The closed form is compared with
+    # numpy's polyfit and corrcoef, and with the exact least-squares line of
+    # the same float data: polyfit's intercept strays up to ~1e-11 of itself
+    # where it is small beside the ratios, so it is compared at their scale
+    rng = random.Random(11)
+    for _ in range(500):
+        xs = [10 ** -rng.uniform(0.5, 8) for _ in range(rng.randint(2, 12))]
+        a, b = rng.choice((-1, 1)) * rng.uniform(0.1, 5), rng.choice((-1, 1)) * rng.uniform(0.5, 5)
+        noise = rng.choice((0.0, 1e-6, 1e-3, 1.0))
+        ratio = {x: a * math.log(1 / x) + b + noise * rng.gauss(0, 1) for x in xs}
+        monkeypatch.setattr(numerics, "canonical_conjugacy", lambda X, Y, x0: lambda x: x + ratio[x] * x * x)
+        report = divergence_diagnostic(None, None, xs)
+        us, vs = [math.log(1 / x) for x, _ in report.points], [v for _, v in report.points]
+        slope, intercept, corr, peak = reference_fit(us, vs)
+        scale = max(abs(intercept), peak)
+        assert abs(report.slope - slope) <= 1e-12 * abs(slope)
+        assert abs(report.intercept - intercept) <= 1e-12 * scale
+        assert abs(report.correlation - corr) <= 1e-12 * abs(corr)
+        assert report.max_abs_ratio == peak
+        U, V = list(map(F, us)), list(map(F, vs))
+        mu, mv = sum(U) / len(U), sum(V) / len(V)
+        exact = sum((u - mu) * (v - mv) for u, v in zip(U, V)) / sum((u - mu) ** 2 for u in U)
+        assert abs(F(report.slope) - exact) <= F(1e-14) * abs(exact)
+        assert abs(F(report.intercept) - (mv - exact * mu)) <= F(1e-14) * F(scale)
+
+
+def test_diagnostic_flat_ratios_read_no_correlation(monkeypatch):
+    # numpy.allclose's rule: |v - v0| <= 1e-12 + 1e-5 |v0| for every ratio
+    for step, flat in ((0.9e-5, True), (1.1e-5, False), (0.0, True)):
+        ratio = {1e-2: 2.0, 1e-3: 2.0 * (1 + step), 1e-4: 2.0 * (1 - step / 2)}
+        monkeypatch.setattr(numerics, "canonical_conjugacy", lambda X, Y, x0: lambda x: x + ratio[x] * x * x)
+        report = divergence_diagnostic(None, None, list(ratio))
+        ref = reference_fit([math.log(1 / x) for x, _ in report.points], [v for _, v in report.points])
+        assert (report.correlation == 0.0) is flat and (ref[2] == 0.0) is flat
+        assert -1.0 <= report.correlation <= 1.0
+
+
+def test_diagnostic_refuses_coinciding_abscissae():
+    # distinct points whose log(1/x) round to one value leave no line to fit
+    X = catalog_field("neg_x2")
+    with pytest.raises(DomainError, match="log"):
+        divergence_diagnostic(X, X, [0.001, math.nextafter(0.001, 1.0)])
 
 
 def test_estimator_extrapolation_matches_exact_resit():

@@ -1,6 +1,5 @@
-"""Package surface: the exact side, the exact CLI verbs and the orbit verbs
-run without numpy or scipy, and the time-map functions and verbs without
-scipy."""
+"""Package surface: no part of the package, the CLI verbs included, loads
+numpy or scipy, and every verb runs where numpy cannot be imported."""
 
 import json
 import os
@@ -9,9 +8,30 @@ import subprocess
 import sys
 
 import germres
+import germres.cli
+
+jet = '{"order":3,"coeffs":["1","-1","0"]}'
+field = '{"kind":"field","order":3,"coeffs":["-1","-1"]}'
+# every CLI verb at least once
+VERBS = [
+    ["residue", "--expr", "x - x^2", "--order", "3"],
+    ["normal-form", "--catalog", "moebius"],
+    ["flow", "--jet", jet, "--time", "1/2"],
+    ["power", "--jet", jet, "--n", "3"],
+    ["field", "--jet", jet],
+    ["exp", "--field", field, "--time", "1"],
+    ["szekeres", "--expr", "x - x^2 + x^3", "--x0", "0.1", "--n", "1000"],
+    ["szekeres", "--expr", "x - x^2 + x^3*log(x)", "--x0", "0.1", "--n", "1000"],
+    ["estimate-resit", "--expr", "x - x^2 + 1/4*x^3", "--x0", "0.3", "--n", "10000"],
+    ["estimate-resit", "--catalog", "quadratic", "--x0", "0.3", "--schedule", "1000,2000", "--ell", "2"],
+    ["conjugate", "--X", "neg_x2_x3", "--Y", "neg_x2", "--x0", "0.1", "--grid", "0.01,0.001"],
+    ["contour", "--poly", "1,1,0.7", "--radius", "0.3"],
+    ["diagnose", "--X", "poly:-1,-1", "--Y", "poly:-1", "--grid", "1e-2,1e-3,1e-4"],
+]
 
 FOOTPRINT = """
 import contextlib, io, json, sys
+verbs = json.loads(sys.argv[1])
 import germres
 from germres import Jet, reduce_germ, flow_in_G
 reduce_germ(Jet.of(1, 1, 0, 1, 0))
@@ -24,63 +44,65 @@ def float_engine():
 exact = float_engine()
 import germres.catalog, germres.cli, germres.expr, germres.numerics
 
-jet = '{"order":3,"coeffs":["1","-1","0"]}'
-field = '{"kind":"field","order":3,"coeffs":["-1","-1"]}'
-verbs = [
-    ["residue", "--expr", "x - x^2", "--order", "3"],
-    ["normal-form", "--catalog", "moebius"],
-    ["flow", "--jet", jet, "--time", "1/2"],
-    ["power", "--jet", jet, "--n", "3"],
-    ["field", "--jet", jet],
-    ["exp", "--field", field, "--time", "1"],
-    ["szekeres", "--expr", "x - x^2 + x^3", "--x0", "0.1", "--n", "1000"],
-    ["szekeres", "--expr", "x - x^2 + x^3*log(x)", "--x0", "0.1", "--n", "1000"],
-    ["estimate-resit", "--expr", "x - x^2 + 1/4*x^3", "--x0", "0.3", "--n", "10000"],
-    ["estimate-resit", "--catalog", "quadratic", "--x0", "0.3", "--schedule", "1000,2000", "--ell", "2"],
-]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [germres.cli.main(argv) for argv in verbs]
-cli = float_engine()
-solvers_before_tau = "germres._solvers" in sys.modules
+    codes = [germres.cli.main(argv) for argv in verbs if argv[0] not in ("conjugate", "diagnose")]
+# control: the probe sees a module that a numeric function loads on first call
+solvers = ["germres._solvers" in sys.modules]
 germres.tau(germres.catalog_field("neg_x2"), 0.1, 0.05)
+solvers.append("germres._solvers" in sys.modules)
 germres.flow_map(germres.catalog_field("neg_x2_x3"), 0.1, 3.0)
-conjugate = ["conjugate", "--X", "neg_x2_x3", "--Y", "neg_x2", "--x0", "0.1", "--grid", "0.01,0.001"]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes.append(germres.cli.main(conjugate))
-time_map = float_engine()
-# positive control: the probe sees a module that a numeric function loads
 germres.contour_residue(lambda z: z - z * z, 0.1)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes += [germres.cli.main(argv) for argv in verbs if argv[0] in ("conjugate", "diagnose")]
 names = {name: getattr(germres, name) is not None for name in germres.__all__}
 namespace = {}
 exec("from germres import *", namespace)
 print(json.dumps({
     "exact": exact,
     "codes": codes,
-    "cli": cli,
-    "solvers_before_tau": solvers_before_tau,
-    "time_map": time_map,
-    "contour": float_engine(),
+    "solvers": solvers,
+    "loaded": float_engine(),
     "names": names,
     "star": sorted(set(germres.__all__) - set(namespace)),
 }))
 """
 
+# numpy and scipy cannot be imported at all
+BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = sys.modules["scipy"] = None
+from germres.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps(codes))
+"""
 
-def test_exact_side_does_not_load_numpy_or_scipy():
+
+def run_python(script):
     src = os.path.dirname(os.path.dirname(os.path.abspath(germres.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", FOOTPRINT], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(VERBS)], capture_output=True, text=True, env=env, timeout=60
+    )
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
+    assert proc.stderr == ""
+    return json.loads(proc.stdout)
+
+
+def test_exact_side_does_not_load_numpy_or_scipy():
+    doc = run_python(FOOTPRINT)
     assert doc["exact"] == []
-    assert doc["codes"] == [0] * 11
-    assert doc["cli"] == []
-    assert not doc["solvers_before_tau"]  # the exact and orbit verbs do not load the kernels
-    assert not [m for m in doc["time_map"] if m.split(".")[0] == "scipy"]
-    assert "numpy" in doc["contour"]
-    assert not [m for m in doc["contour"] if m.split(".")[0] == "scipy"]
+    assert doc["codes"] == [0] * len(VERBS)
+    assert doc["solvers"] == [False, True]  # the exact and orbit verbs do not load the kernels
+    assert doc["loaded"] == []
     assert all(doc["names"].values())
     assert doc["star"] == []
+
+
+def test_every_verb_runs_without_numpy():
+    subparsers = germres.cli.build_parser()._subparsers._group_actions[0]
+    assert {argv[0] for argv in VERBS} == set(subparsers.choices)
+    assert run_python(BLOCKED) == [0] * len(VERBS)
 
 
 def test_public_names_resolve_and_are_listed():
