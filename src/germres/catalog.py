@@ -259,7 +259,9 @@ def pullback_numeric_field(h: GermSpec, X: NumericField, name: str = "") -> Nume
 def szekeres_numeric_field(germ: GermSpec, n: int = 10_000) -> NumericField:
     """Generating field of a contracting germ, evaluated pointwise by a
     fixed-depth Szekeres iteration (fixed n keeps the evaluator smooth in
-    x, which the quadrature relies on)."""
+    x, which the quadrature relies on).  The depth ``n`` must be at least 1."""
+    if n < 1:
+        raise DomainError(f"the Szekeres depth n must be at least 1, not {n}")
     tail = ()
     if germ.jet_fn is not None:
         # tail coefficients from the exact jet, for the quadrature split

@@ -14,8 +14,10 @@ Verbs map one-to-one onto library operations::
     contour        complex fixed-point residue on a circle
     diagnose       divergence diagnostic between two fields
 
-Output is deterministic JSON on stdout: an ``inputs`` echo, a ``result``
-object, and a ``paper_refs`` list naming the formulas exercised.  Rationals
+Output is deterministic JSON on stdout: ``inputs``, which echoes every
+option the verb received as parsed, defaults included (``--format`` and
+options left unset are omitted), a ``result`` object, and a ``paper_refs``
+list naming the formulas exercised.  Rationals
 print as canonical ``p/q`` strings, reals as shortest round-trip decimals,
 keys are sorted.  ``--format csv`` is available for the tabular commands
 (estimate-resit, conjugate, diagnose).  Errors are serialized as
@@ -127,48 +129,42 @@ def _load_jet(args) -> Jet:
 
 
 def _load_germ_spec(args) -> numerics.GermSpec:
-    """A germ from --catalog or --expr, with --ell/--a (where the verb has
-    them) in place of its own flatness order and leading magnitude."""
-    overrides = {name: value for name in ("ell", "a") if (value := getattr(args, name, None)) is not None}
-    return dataclasses.replace(_build_germ_spec(args), **overrides)
-
-
-def _build_germ_spec(args) -> numerics.GermSpec:
+    """A germ from --catalog or --expr."""
     if args.catalog is not None:
         return catalog.catalog_germ(args.catalog)
-    if args.expr is not None:
-        parsed = parse_germ(args.expr)
-        if not isinstance(parsed, GermExpr):
-            raise ValueError("numeric commands need a formula or catalog germ, not a jet")
-        tag = parsed.catalog_tag()
-        if tag is not None:
-            return catalog.catalog_germ(tag)
-        func, deriv, increment = parsed.func, parsed.deriv, parsed.increment
-        try:
-            # a rational formula regular at 0 gets exact flatness data; the
-            # formula itself stays the evaluator
-            return catalog.germ_from_jet(
-                parsed.to_jet(DEFAULT_JET_ORDER),
-                name=f"expr[{parsed.text}]",
-                func=func,
-                deriv=deriv,
-                increment=increment,
-            )
-        except NotASeries:
-            pass
-        x_probe = 0.05
-        orientation = "contracting" if func(x_probe) < x_probe else "expanding"
-        return numerics.GermSpec(
+    if args.expr is None:
+        raise ValueError("need one of --expr / --catalog")
+    parsed = parse_germ(args.expr)
+    if not isinstance(parsed, GermExpr):
+        raise ValueError("numeric commands need a formula or catalog germ, not a jet")
+    tag = parsed.catalog_tag()
+    if tag is not None:
+        return catalog.catalog_germ(tag)
+    func, deriv, increment = parsed.func, parsed.deriv, parsed.increment
+    try:
+        # a rational formula regular at 0 gets exact flatness data; the
+        # formula itself stays the evaluator
+        return catalog.germ_from_jet(
+            parsed.to_jet(DEFAULT_JET_ORDER),
             name=f"expr[{parsed.text}]",
             func=func,
             deriv=deriv,
             increment=increment,
-            ell=1,
-            a=1.0,
-            orientation=orientation,
-            x_max=0.4,
         )
-    raise ValueError("need one of --expr / --catalog")
+    except NotASeries:
+        pass
+    x_probe = 0.05
+    orientation = "contracting" if func(x_probe) < x_probe else "expanding"
+    return numerics.GermSpec(
+        name=f"expr[{parsed.text}]",
+        func=func,
+        deriv=deriv,
+        increment=increment,
+        ell=1,
+        a=1.0,
+        orientation=orientation,
+        x_max=0.4,
+    )
 
 
 def _load_field(spec_text: str) -> numerics.NumericField:
@@ -192,107 +188,47 @@ def _grid(text: str):
     return values
 
 
-def _emit(doc, args, csv_rows=None, csv_header=None):
-    if getattr(args, "format", "json") == "csv":
-        if csv_rows is None:
-            raise ValueError("csv output is not available for this command")
-        lines = [",".join(csv_header)]
-        lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in csv_rows]
-        print("\n".join(lines))
-    else:
-        print(json.dumps(doc, sort_keys=True, allow_nan=False))
-    return 0
-
-
-def _inputs_echo(args, names):
-    return {name: getattr(args, name.replace("-", "_")) for name in names if getattr(args, name.replace("-", "_"), None) is not None}
-
-
-# -- command handlers --------------------------------------------------------
+# -- command handlers: each returns the document's ``result`` -----------------
 
 
 def _cmd_residue(args):
     f = _load_jet(args)
-    report = residue_report(f)
-    doc = {
-        "inputs": _inputs_echo(args, ["jet", "expr", "catalog", "order"]),
-        "result": {"jet": jet_to_dict(f), "report": _report_dict(report)},
-        "paper_refs": ["additive-residue", "iterative-residue"],
-    }
-    return _emit(doc, args)
+    return {"jet": jet_to_dict(f), "report": _report_dict(residue_report(f))}
 
 
 def _cmd_normal_form(args):
-    f = _load_jet(args)
-    trace, report = reduce_germ(f)
-    doc = {
-        "inputs": _inputs_echo(args, ["jet", "expr", "catalog", "order"]),
-        "result": {"report": _report_dict(report), "trace": _trace_dict(trace)},
-        "paper_refs": ["germ-normal-form-reduction"],
-    }
-    return _emit(doc, args)
+    trace, report = reduce_germ(_load_jet(args))
+    return {"report": _report_dict(report), "trace": _trace_dict(trace)}
 
 
 def _cmd_flow(args):
-    f = _load_jet(args)
-    out = flow_in_G(f, args.time)
-    doc = {
-        "inputs": _inputs_echo(args, ["jet", "expr", "catalog", "time"]),
-        "result": {"jet": jet_to_dict(out)},
-        "paper_refs": ["truncated-group-flow"],
-    }
-    return _emit(doc, args)
+    return {"jet": jet_to_dict(flow_in_G(_load_jet(args), args.time))}
 
 
 def _cmd_power(args):
-    f = _load_jet(args)
-    out = power(f, args.n)
-    doc = {
-        "inputs": _inputs_echo(args, ["jet", "expr", "catalog", "n"]),
-        "result": {"jet": jet_to_dict(out)},
-        "paper_refs": ["composition-group"],
-    }
-    return _emit(doc, args)
+    return {"jet": jet_to_dict(power(_load_jet(args), args.n))}
 
 
 def _cmd_field(args):
-    f = _load_jet(args)
-    X = germ_to_field(f)
-    doc = {
-        "inputs": _inputs_echo(args, ["jet", "expr", "catalog"]),
-        "result": {"field": field_to_dict(X)},
-        "paper_refs": ["germ-field-correspondence"],
-    }
-    return _emit(doc, args)
+    return {"field": field_to_dict(germ_to_field(_load_jet(args)))}
 
 
 def _cmd_exp(args):
     X = field_from_json(args.field)
     _check_order(X.order)
-    out = field_to_germ(X, args.time)
-    doc = {
-        "inputs": _inputs_echo(args, ["field", "time"]),
-        "result": {"jet": jet_to_dict(out)},
-        "paper_refs": ["field-time-t-map"],
-    }
-    return _emit(doc, args)
+    return {"jet": jet_to_dict(field_to_germ(X, args.time))}
 
 
 def _cmd_szekeres(args):
     if args.n < 1:
         raise numerics.DomainError(f"--n must be at least 1, not {args.n}")
-    germ = _load_germ_spec(args)
-    res = numerics.szekeres_field(germ, args.x0, n_max=args.n, tol=args.tol)
-    doc = {
-        "inputs": _inputs_echo(args, ["expr", "catalog", "x0", "n", "tol"]),
-        "result": {"value": res.value, "iterations": res.iterations, "converged": res.converged},
-        "paper_refs": ["szekeres-iterative-field"],
-    }
-    return _emit(doc, args)
+    res = numerics.szekeres_field(_load_germ_spec(args), args.x0, n_max=args.n, tol=args.tol)
+    return {"value": res.value, "iterations": res.iterations, "converged": res.converged}
 
 
 def _cmd_estimate_resit(args):
-    germ = _load_germ_spec(args)
+    overrides = {name: value for name, value in (("ell", args.ell), ("a", args.a)) if value is not None}
+    germ = dataclasses.replace(_load_germ_spec(args), **overrides)
     if args.schedule:
         schedule = [int(part) for part in args.schedule.split(",") if part.strip()]
     else:
@@ -302,35 +238,17 @@ def _cmd_estimate_resit(args):
             schedule.append(n)
             n *= 10
         schedule.append(args.n)
-        schedule = sorted(set(s for s in schedule if s <= args.n))
     est = numerics.estimate_resit(germ, args.x0, schedule)
-    samples = [[n, e] for n, e in est.samples]
-    doc = {
-        "inputs": _inputs_echo(args, ["expr", "catalog", "x0", "n", "schedule", "ell", "a"]),
-        "result": {
-            "samples": samples,
-            "extrapolated": est.extrapolated,
-            "converged": est.converged,
-        },
-        "paper_refs": ["orbit-deviation-estimator"],
+    return {
+        "samples": [[n, e] for n, e in est.samples],
+        "extrapolated": est.extrapolated,
+        "converged": est.converged,
     }
-    return _emit(doc, args, csv_rows=samples, csv_header=("n", "estimate"))
 
 
 def _cmd_conjugate(args):
-    X = _load_field(args.X)
-    Y = _load_field(args.Y)
-    h = numerics.canonical_conjugacy(X, Y, args.x0)
-    rows = []
-    for x in _grid(args.grid):
-        hx = h(x)
-        rows.append([x, hx, h.deriv(x)])
-    doc = {
-        "inputs": _inputs_echo(args, ["X", "Y", "x0", "grid"]),
-        "result": {"samples": rows},
-        "paper_refs": ["time-map-conjugacy"],
-    }
-    return _emit(doc, args, csv_rows=rows, csv_header=("x", "h", "Dh"))
+    h = numerics.canonical_conjugacy(_load_field(args.X), _load_field(args.Y), args.x0)
+    return {"samples": [[x, h(x), h.deriv(x)] for x in _grid(args.grid)]}
 
 
 def _float(c: Fraction) -> float:
@@ -349,32 +267,20 @@ def _cmd_contour(args):
     else:
         raise ValueError("need --poly or --jet")
     f = numerics._horner([-0j] + coeffs)  # (...) * z
-    value = numerics.contour_residue(f, args.radius, args.points)
-    doc = {
-        "inputs": _inputs_echo(args, ["poly", "jet", "radius", "points"]),
-        "result": {"value": _scalar(value)},
-        "paper_refs": ["fixed-point-contour-residue"],
-    }
-    return _emit(doc, args)
+    return {"value": _scalar(numerics.contour_residue(f, args.radius, args.points))}
 
 
 def _cmd_diagnose(args):
     X = _load_field(args.X)
     Y = _load_field(args.Y)
     report = numerics.divergence_diagnostic(X, Y, _grid(args.grid), x0=args.x0)
-    points = [[x, r] for x, r in report.points]
-    doc = {
-        "inputs": _inputs_echo(args, ["X", "Y", "grid", "x0"]),
-        "result": {
-            "slope": report.slope,
-            "intercept": report.intercept,
-            "correlation": report.correlation,
-            "max_abs_ratio": report.max_abs_ratio,
-            "points": points,
-        },
-        "paper_refs": ["conjugacy-divergence-diagnostic"],
+    return {
+        "slope": report.slope,
+        "intercept": report.intercept,
+        "correlation": report.correlation,
+        "max_abs_ratio": report.max_abs_ratio,
+        "points": [[x, r] for x, r in report.points],
     }
-    return _emit(doc, args, csv_rows=points, csv_header=("x", "ratio"))
 
 
 def _add_jet_inputs(p):
@@ -387,46 +293,51 @@ def _add_jet_inputs(p):
 @functools.cache
 def build_parser():
     """The ``germres`` parser, built on the first call and shared by every
-    later one in the process, so callers must not change it."""
+    later one in the process, so callers must not change it.
+
+    Each verb declares its options, its handler, its ``paper_refs`` and,
+    if it is tabular, ``table``: the result key holding the rows and the
+    CSV header."""
     parser = argparse.ArgumentParser(prog="germres", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("residue", help="residue report of a parabolic jet")
-    _add_jet_inputs(p)
-    p.set_defaults(handler=_cmd_residue)
+    def verb(name, summary, handler, paper_refs, table=None):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, paper_refs=paper_refs, table=table)
+        return p
 
-    p = sub.add_parser("normal-form", help="reduction trace and residue report")
+    p = verb("residue", "residue report of a parabolic jet", _cmd_residue, ["additive-residue", "iterative-residue"])
     _add_jet_inputs(p)
-    p.set_defaults(handler=_cmd_normal_form)
 
-    p = sub.add_parser("flow", help="time-t flow element through a jet")
+    p = verb("normal-form", "reduction trace and residue report", _cmd_normal_form, ["germ-normal-form-reduction"])
+    _add_jet_inputs(p)
+
+    p = verb("flow", "time-t flow element through a jet", _cmd_flow, ["truncated-group-flow"])
     _add_jet_inputs(p)
     p.add_argument("--time", required=True, help="rational time, e.g. 2 or 1/3")
-    p.set_defaults(handler=_cmd_flow)
 
-    p = sub.add_parser("power", help="integer composition power of a jet")
+    p = verb("power", "integer composition power of a jet", _cmd_power, ["composition-group"])
     _add_jet_inputs(p)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_power)
 
-    p = sub.add_parser("field", help="generating field jet of a germ jet")
+    p = verb("field", "generating field jet of a germ jet", _cmd_field, ["germ-field-correspondence"])
     _add_jet_inputs(p)
-    p.set_defaults(handler=_cmd_field)
 
-    p = sub.add_parser("exp", help="time-t map of a field jet")
+    p = verb("exp", "time-t map of a field jet", _cmd_exp, ["field-time-t-map"])
     p.add_argument("--field", required=True, help='field JSON {"kind":"field","order":k,"coeffs":[...]}')
     p.add_argument("--time", required=True, help="rational time")
-    p.set_defaults(handler=_cmd_exp)
 
-    p = sub.add_parser("szekeres", help="iterative field value of a contracting germ")
+    p = verb("szekeres", "iterative field value of a contracting germ", _cmd_szekeres, ["szekeres-iterative-field"])
     p.add_argument("--expr")
     p.add_argument("--catalog")
     p.add_argument("--x0", type=float, required=True, help="evaluation point")
     p.add_argument("--n", type=int, default=100_000, help="iteration cap")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(handler=_cmd_szekeres)
 
-    p = sub.add_parser("estimate-resit", help="orbit-deviation residue estimator")
+    p = verb(
+        "estimate-resit", "orbit-deviation residue estimator", _cmd_estimate_resit,
+        ["orbit-deviation-estimator"], table=("samples", ("n", "estimate")),
+    )
     p.add_argument("--expr")
     p.add_argument("--catalog")
     p.add_argument("--x0", type=float, required=True)
@@ -434,39 +345,55 @@ def build_parser():
     p.add_argument("--schedule", help="explicit comma list of orbit lengths")
     p.add_argument("--ell", type=int)
     p.add_argument("--a", type=float)
-    p.set_defaults(handler=_cmd_estimate_resit)
 
-    p = sub.add_parser("conjugate", help="canonical conjugacy between two fields")
+    p = verb(
+        "conjugate", "canonical conjugacy between two fields", _cmd_conjugate,
+        ["time-map-conjugacy"], table=("samples", ("x", "h", "Dh")),
+    )
     p.add_argument("--X", required=True, help="field spec: catalog tag or poly:c2,c3,...")
     p.add_argument("--Y", required=True)
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--grid", required=True, help="comma list of x values")
-    p.set_defaults(handler=_cmd_conjugate)
 
-    p = sub.add_parser("contour", help="complex fixed-point residue")
+    p = verb("contour", "complex fixed-point residue", _cmd_contour, ["fixed-point-contour-residue"])
     p.add_argument("--poly", help="comma list a1,a2,... of f(z) = a1 z + a2 z^2 + ...")
     p.add_argument("--jet", help="inline jet JSON to evaluate as a polynomial")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--points", type=int, default=256)
-    p.set_defaults(handler=_cmd_contour)
 
-    p = sub.add_parser("diagnose", help="divergence diagnostic between two fields")
+    p = verb(
+        "diagnose", "divergence diagnostic between two fields", _cmd_diagnose,
+        ["conjugacy-divergence-diagnostic"], table=("points", ("x", "ratio")),
+    )
     p.add_argument("--X", required=True)
     p.add_argument("--Y", required=True)
     p.add_argument("--grid", required=True)
     p.add_argument("--x0", type=float)
-    p.set_defaults(handler=_cmd_diagnose)
 
-    for name, sp in sub.choices.items():
+    for sp in sub.choices.values():
         sp.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
+# namespace entries that are not the verb's inputs
+_NOT_INPUTS = ("command", "handler", "paper_refs", "table", "format")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        result = args.handler(args)
+        if args.format == "csv":
+            if args.table is None:
+                raise ValueError("csv output is not available for this command")
+            key, header = args.table
+            rows = [header, *result[key]]
+            print("\n".join(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows))
+        else:
+            inputs = {name: value for name, value in vars(args).items() if value is not None and name not in _NOT_INPUTS}
+            doc = {"inputs": inputs, "result": result, "paper_refs": args.paper_refs}
+            print(json.dumps(doc, sort_keys=True, allow_nan=False))
+        return 0
     except _ERRORS as exc:
         message = str(exc)
         if isinstance(exc, KeyError) and exc.args:

@@ -597,6 +597,8 @@ def szekeres_field(germ: GermSpec, x: float, n_max: int = 100_000, tol: float = 
     if not germ.is_contracting():
         raise DomainError(f"{germ.name}: szekeres_field needs a contracting germ")
     germ.check_point(x)
+    if n_max < 0:
+        raise DomainError(f"n_max must be at least 0, not {n_max}")
     if n_max > MAX_ORBIT_STEPS:
         raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {n_max}")
     if not math.isfinite(tol):
@@ -694,6 +696,18 @@ def _orbit_values(germ: GermSpec, x0: float, ns: Sequence[int]):
     return out
 
 
+def _check_orbit_germ(germ: GermSpec, x0: float):
+    """The precondition of the orbit asymptotics f^n(x0) ~ (a ell n)^(-1/ell):
+    a contracting germ, x0 in its domain, ell >= 1 and a finite and positive."""
+    if not germ.is_contracting():
+        raise DomainError(f"{germ.name}: estimator needs a contracting germ")
+    germ.check_point(x0)
+    if germ.ell < 1:
+        raise DomainError(f"flatness order ell must be at least 1, not {germ.ell}")
+    if not (math.isfinite(germ.a) and germ.a > 0):
+        raise DomainError(f"leading magnitude a must be finite and positive, not {germ.a}")
+
+
 def estimate_resit(germ: GermSpec, x0: float, schedule: Sequence[int]) -> ResitEstimate:
     """Orbit-deviation estimator of the iterative residue of a contracting
     germ f = x - a x^{ell+1} + ... :
@@ -705,14 +719,8 @@ def estimate_resit(germ: GermSpec, x0: float, schedule: Sequence[int]) -> ResitE
     O(1/log n); the estimator is meant for qualitative bands, not tight
     tolerances.
     """
-    if not germ.is_contracting():
-        raise DomainError(f"{germ.name}: estimator needs a contracting germ")
-    germ.check_point(x0)
+    _check_orbit_germ(germ, x0)
     ell, a = germ.ell, germ.a
-    if ell < 1:
-        raise DomainError(f"flatness order ell must be at least 1, not {ell}")
-    if not (math.isfinite(a) and a > 0):
-        raise DomainError(f"leading magnitude a must be finite and positive, not {a}")
     ns = sorted(set(int(n) for n in schedule))
     if not ns or ns[0] <= 1:
         raise DomainError("schedule entries must be integers > 1 (log n degenerates)")
@@ -754,9 +762,7 @@ class OrbitBoundReport:
 
 def orbit_bound_check(germ: GermSpec, x0: float, n_max: int) -> OrbitBoundReport:
     """Verify a ell n [f^n(x0)]^ell -> 1 and fit the bracketing constants."""
-    if not germ.is_contracting():
-        raise DomainError(f"{germ.name}: orbit bounds need a contracting germ")
-    germ.check_point(x0)
+    _check_orbit_germ(germ, x0)
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, not {n_max}")
     ell, a = germ.ell, germ.a

@@ -170,6 +170,86 @@ def test_diagnose_command(capsys):
     assert 0.7 <= doc["result"]["slope"] <= 1.3
 
 
+JET3 = '{"order":3,"coeffs":["1","-1","0"]}'
+FIELD3 = '{"kind":"field","order":3,"coeffs":["-1","-1"]}'
+
+# (argv, inputs echoed, paper_refs): the echo holds every option given, as
+# parsed, plus the verb's defaults; the paper_refs are frozen as first written
+VERB_ECHOES = [
+    (
+        ["residue", "--catalog", "moebius", "--order", "5"],
+        {"catalog": "moebius", "order": 5},
+        ["additive-residue", "iterative-residue"],
+    ),
+    (
+        ["normal-form", "--jet", JET3],
+        {"jet": JET3},
+        ["germ-normal-form-reduction"],
+    ),
+    (
+        ["flow", "--catalog", "moebius", "--order", "5", "--time", "1"],
+        {"catalog": "moebius", "order": 5, "time": "1"},
+        ["truncated-group-flow"],
+    ),
+    (
+        ["power", "--expr", "x - x^2", "--order", "4", "--n", "3"],
+        {"expr": "x - x^2", "order": 4, "n": 3},
+        ["composition-group"],
+    ),
+    (
+        ["field", "--expr", "x - x^2", "--order", "6"],
+        {"expr": "x - x^2", "order": 6},
+        ["germ-field-correspondence"],
+    ),
+    (
+        ["exp", "--field", FIELD3, "--time", "1/2"],
+        {"field": FIELD3, "time": "1/2"},
+        ["field-time-t-map"],
+    ),
+    (
+        ["szekeres", "--catalog", "moebius", "--x0", "0.1"],
+        {"catalog": "moebius", "x0": 0.1, "n": 100_000, "tol": 1e-12},
+        ["szekeres-iterative-field"],
+    ),
+    (
+        ["estimate-resit", "--catalog", "quadratic", "--x0", "0.5", "--schedule", "1000,10000", "--ell", "1", "--a", "1"],
+        {"catalog": "quadratic", "x0": 0.5, "n": 1_000_000, "schedule": "1000,10000", "ell": 1, "a": 1.0},
+        ["orbit-deviation-estimator"],
+    ),
+    (
+        ["conjugate", "--X", "neg_x2_x3", "--Y", "neg_x2", "--x0", "0.1", "--grid", "0.01,0.001"],
+        {"X": "neg_x2_x3", "Y": "neg_x2", "x0": 0.1, "grid": "0.01,0.001"},
+        ["time-map-conjugacy"],
+    ),
+    (
+        ["contour", "--poly", "1,1,0.7", "--radius", "0.3"],
+        {"poly": "1,1,0.7", "radius": 0.3, "points": 256},
+        ["fixed-point-contour-residue"],
+    ),
+    (
+        ["diagnose", "--X", "poly:-1,-1", "--Y", "poly:-1", "--grid", "1e-2,1e-3,1e-4", "--x0", "0.1"],
+        {"X": "poly:-1,-1", "Y": "poly:-1", "grid": "1e-2,1e-3,1e-4", "x0": 0.1},
+        ["conjugacy-divergence-diagnostic"],
+    ),
+]
+
+
+def test_verb_echoes_cover_every_verb():
+    subparsers = cli.build_parser()._subparsers._group_actions[0]
+    assert [argv[0] for argv, _inputs, _refs in VERB_ECHOES] == list(subparsers.choices)
+
+
+@pytest.mark.parametrize("argv, inputs, paper_refs", VERB_ECHOES, ids=[case[0][0] for case in VERB_ECHOES])
+def test_inputs_echo_every_option_as_parsed(capsys, argv, inputs, paper_refs):
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, out
+    doc = json.loads(out)
+    assert set(doc) == {"inputs", "result", "paper_refs"}
+    assert doc["inputs"] == inputs
+    assert [type(v) for v in doc["inputs"].values()] == [type(inputs[k]) for k in doc["inputs"]]
+    assert doc["paper_refs"] == paper_refs
+
+
 def test_jet_round_trip_through_serialization():
     jet = Jet.of(1, "-1/2", "3/4")
     assert jet_from_json(jet_to_json(jet)) == jet

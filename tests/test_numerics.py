@@ -496,6 +496,23 @@ def test_szekeres_refuses_a_non_finite_tolerance():
     assert not fixed.converged and fixed.iterations == 10
 
 
+def test_szekeres_refuses_a_negative_depth():
+    for n_max in (-1, -3):
+        with pytest.raises(DomainError, match="n_max must be at least 0"):
+            szekeres_field(quadratic(), 0.1, n_max=n_max)
+    # depth 0 takes no step and has no value
+    empty = szekeres_field(quadratic(), 0.1, n_max=0, tol=0.0)
+    assert empty.value is None and empty.iterations == 0 and not empty.converged
+
+
+def test_szekeres_numeric_field_refuses_a_depth_below_one():
+    for n in (0, -5):
+        with pytest.raises(DomainError, match="depth n must be at least 1"):
+            szekeres_numeric_field(quadratic(), n=n)
+    X = szekeres_numeric_field(quadratic(), n=1)
+    assert X.func(0.1) == quadratic().increment(0.1)
+
+
 def test_szekeres_underflow_message_matches_the_reference():
     bad = GermSpec(
         name="collapse",
@@ -578,6 +595,24 @@ def test_estimator_rejects_bad_ell_and_a():
     for kwargs in ({"ell": 0}, {"ell": -1}, {"a": 0.0}, {"a": math.nan}, {"a": math.inf}, {"a": -1.0}):
         with pytest.raises(DomainError):
             estimate_resit(dataclasses.replace(moebius(), **kwargs), 0.5, [10, 100])
+
+
+def test_orbit_estimator_and_bound_check_share_one_precondition():
+    cases = [
+        (dataclasses.replace(quadratic(), orientation="expanding"), 0.3, "needs a contracting germ"),
+        (quadratic(), 2.0, "outside"),
+        (dataclasses.replace(quadratic(), ell=0), 0.3, "ell must be at least 1"),
+        (dataclasses.replace(quadratic(), a=-1.0), 0.3, "a must be finite and positive"),
+    ]
+    for germ, x0, message in cases:
+        with pytest.raises(DomainError, match=message) as by_estimator:
+            estimate_resit(germ, x0, [1000, 10000])
+        with pytest.raises(DomainError, match=message) as by_bounds:
+            orbit_bound_check(germ, x0, 1000)
+        assert str(by_bounds.value) == str(by_estimator.value)
+    for a in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="a must be finite and positive"):
+            orbit_bound_check(dataclasses.replace(quadratic(), a=a), 0.3, 1000)
 
 
 def test_non_finite_estimates_are_domain_errors():
