@@ -46,16 +46,15 @@ def _ramified_jet(ell: int, t: Fraction, order: int) -> Jet:
     # x (1 + t x^ell)^(-1/ell) expanded by the binomial series
     if order < 1:
         raise OrderError(f"jet order must be at least 1, not {order}")
-    coeffs = [Fraction(0)] * order
-    coeffs[0] = Fraction(1)
+    dense = [0, 1] + [0] * (order - 1)
     q = Fraction(-1, ell)
     binom = Fraction(1)
     k = 0
     while (k + 1) * ell + 1 <= order:
         binom = binom * (q - k) / (k + 1)
         k += 1
-        coeffs[k * ell] = binom * t**k
-    return Jet(tuple(coeffs))
+        dense[k * ell + 1] = binom * t**k
+    return Jet.from_dense(dense)
 
 
 # generated, so that the orbit loop inlines it
@@ -178,7 +177,7 @@ def germ_from_jet(jet: Jet, x_max: float = 0.4, name: str = "",
     ell = tc.ell
     lead = jet[ell + 1]
     try:
-        fl = [float(jet[n]) for n in range(1, jet.order + 1)]
+        fl = [float(c) for c in jet.coeffs]
     except OverflowError:
         raise CoefficientError("a coefficient of the jet passes the float range (about 1.8e308)") from None
 

@@ -39,12 +39,10 @@ from .flows import CoercionError, field_to_germ, flow_in_G, germ_to_field, power
 from .jets import (
     CarrierMismatch,
     CoefficientError,
-    FieldJet,
     Jet,
     NotInvertible,
     OrderError,
     field_from_json,
-    field_to_dict,
     jet_from_json,
     jet_to_dict,
     read_rational,
@@ -94,11 +92,9 @@ def _report_dict(report):
 
 
 def _trace_dict(trace):
-    reduced = trace.reduced
-    reduced_doc = field_to_dict(reduced) if isinstance(reduced, FieldJet) else jet_to_dict(reduced)
     return {
         "conjugator": jet_to_dict(trace.conjugator),
-        "reduced": reduced_doc,
+        "reduced": jet_to_dict(trace.reduced),
         "steps": [[deg, _scalar(alpha)] for deg, alpha in trace.steps],
     }
 
@@ -210,7 +206,7 @@ def _cmd_power(args):
 
 
 def _cmd_field(args):
-    return {"field": field_to_dict(germ_to_field(_load_jet(args)))}
+    return {"field": jet_to_dict(germ_to_field(_load_jet(args)))}
 
 
 def _cmd_exp(args):
@@ -262,8 +258,7 @@ def _cmd_contour(args):
     if args.poly is not None:
         coeffs = [complex(_float(read_rational(part)), 0.0) for part in args.poly.split(",")]
     elif args.jet is not None:
-        jet = jet_from_json(args.jet)
-        coeffs = [_float(jet[n]) for n in range(1, jet.order + 1)]
+        coeffs = [_float(c) for c in jet_from_json(args.jet).coeffs]
     else:
         raise ValueError("need --poly or --jet")
     f = numerics._horner([-0j] + coeffs)  # (...) * z

@@ -17,15 +17,15 @@ mode), exact truncated-series expansion over the :mod:`germres.jets` kernel
 fingerprint matching against the germ catalog.
 
 Float evaluation runs Python code generated once per formula by
-``numerics._codegen``: a function ``value(x)``, a function
-``derivative(x)`` and a function ``increment(x)``, each a flat list of
-assignments ``t3 = t1 * t2``, one per operation of the AST, in the order
-the chains give.  ``increment`` is the body of ``value`` with ``- x``
-applied to its result, the same float operation as ``value(x) - x``; the
-orbit loop of ``numerics`` inlines that body.  ``derivative`` computes
-the value alongside, by the sum, product, quotient, power and log rules
-applied literally (no algebraic simplification), so signed zeros and
-exceptions are those of the rules.
+``numerics._codegen``.  One walk of the AST emits a flat list of
+assignments ``t3 = t1 * t2``, in the order the chains give: for each
+operation, a value statement, then a derivative statement by the sum,
+product, quotient, power and log rules applied literally (no algebraic
+simplification), so signed zeros and exceptions are those of the rules.
+``derivative(x)`` runs every statement; ``value(x)`` runs the value
+statements only, and ``increment(x)`` runs them with ``- x`` applied to
+the result, the same float operation as ``value(x) - x``; the orbit loop
+of ``numerics`` inlines that body.
 Being flat, the source stays within the compiler's limits at any nesting
 the parser allows.  No text of the formula reaches it: the only pieces are
 ``repr(float(c))`` of each literal c, ``repr`` of integer exponents, the
@@ -214,87 +214,69 @@ _NAMESPACE = (("_log", math.log),)
 
 
 class _Emitter:
-    """Flat function body: one assignment to a fresh local per operation."""
+    """Flat function body: one assignment to a fresh local per operation.
+    ``values`` holds those of ``lines`` that compute a value."""
 
     def __init__(self):
         self.lines = []
+        self.values = []
 
-    def emit(self, expression: str) -> str:
+    def emit(self, expression: str, value=False) -> str:
         name = f"t{len(self.lines)}"
         self.lines.append(f"{name} = {expression}")
+        if value:
+            self.values.append(self.lines[-1])
         return name
 
-    def value(self, node) -> str:
-        """Operand text of the value of ``node``, by the float operations
-        the formula names, in its order."""
-        kind = node[0]
-        if kind == "num":
-            return _literal(node[1], "a literal")
-        if kind == "x":
-            return "x"
-        if kind in ("sum", "prod"):
-            acc = self.value(node[1])
-            for inverse, child in node[2]:
-                operand = self.value(child)
-                acc = self.emit(f"{acc} {_OPERATORS[kind, inverse]} {operand}")
-            return acc
-        if kind == "neg":
-            return self.emit(f"-{self.value(node[1])}")
-        if kind == "pow":
-            return self.emit(f"{self.value(node[1])} ** {node[2]!r}")
-        if kind == "log":
-            return self.emit(f"_log({self.value(node[1])})")
-        raise AssertionError(kind)
-
-    def value_and_derivative(self, node):
-        """Operand texts (value, derivative) of ``node`` by the sum,
-        product, quotient, power and log rules, in the order of the chains."""
+    def walk(self, node):
+        """Operand texts (value, derivative) of ``node``, emitting each
+        operation's value statement and then its derivative statement."""
         kind = node[0]
         if kind == "num":
             return _literal(node[1], "a literal"), "0.0"
         if kind == "x":
             return "x", "1.0"
         if kind in ("sum", "prod"):
-            v, d = self.value_and_derivative(node[1])
+            v, d = self.walk(node[1])
             for inverse, child in node[2]:
-                cv, cd = self.value_and_derivative(child)
+                cv, cd = self.walk(child)
+                op = _OPERATORS[kind, inverse]
+                w = self.emit(f"{v} {op} {cv}", value=True)
                 if kind == "sum":
-                    op = _OPERATORS[kind, inverse]
-                    v, d = self.emit(f"{v} {op} {cv}"), self.emit(f"{d} {op} {cd}")
+                    d = self.emit(f"{d} {op} {cd}")
                 elif inverse:
-                    v, d = self.emit(f"{v} / {cv}"), self.emit(f"({d} * {cv} - {v} * {cd}) / {cv} ** 2")
+                    d = self.emit(f"({d} * {cv} - {v} * {cd}) / {cv} ** 2")
                 else:
-                    v, d = self.emit(f"{v} * {cv}"), self.emit(f"{d} * {cv} + {v} * {cd}")
+                    d = self.emit(f"{d} * {cv} + {v} * {cd}")
+                v = w
             return v, d
         if kind == "neg":
-            v, d = self.value_and_derivative(node[1])
-            return self.emit(f"-{v}"), self.emit(f"-{d}")
+            v, d = self.walk(node[1])
+            return self.emit(f"-{v}", value=True), self.emit(f"-{d}")
         if kind == "pow":
-            v, d = self.value_and_derivative(node[1])
+            v, d = self.walk(node[1])
             n = node[2]
-            power = self.emit(f"{v} ** {n!r}")
+            power = self.emit(f"{v} ** {n!r}", value=True)
             if not n:
                 return power, "0.0"
             factor = _literal(n, "an exponent")
             return power, self.emit(f"{factor} * {v} ** {n - 1!r} * {d}")
         if kind == "log":
-            v, d = self.value_and_derivative(node[1])
-            return self.emit(f"_log({v})"), self.emit(f"{d} / {v}")
+            v, d = self.walk(node[1])
+            return self.emit(f"_log({v})", value=True), self.emit(f"{d} / {v}")
         raise AssertionError(kind)
 
 
 def _generate(ast):
     """(value, derivative, increment) functions of ``x`` for a parsed
-    formula, each generated flat (see the module docstring) and all three
-    compiled from one source; the increment is the value's body with
-    ``- x`` applied to its result."""
-    value, both = _Emitter(), _Emitter()
-    result = value.value(ast)
-    derivative = both.value_and_derivative(ast)[1]
+    formula, generated flat from one walk (see the module docstring) and
+    compiled from one source."""
+    body = _Emitter()
+    result, derivative = body.walk(ast)
     functions = [
-        ("value", value.lines, result),
-        ("derivative", both.lines, derivative),
-        ("increment", value.lines, f"{result} - x"),
+        ("value", body.values, result),
+        ("derivative", body.lines, derivative),
+        ("increment", body.values, f"{result} - x"),
     ]
     return numerics._codegen(functions, namespace=_NAMESPACE, filename="<germres formula>")()
 
@@ -398,7 +380,7 @@ class GermExpr:
         s = _series(self.ast, order)
         if s[0] != 0:
             raise NotASeries(f"expression does not fix 0 (constant term {s[0]})")
-        return Jet(tuple(s[1:]))
+        return Jet.from_dense(s)
 
     def catalog_tag(self):
         """Tag of the catalog germ this expression matches numerically, if any."""

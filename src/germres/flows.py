@@ -29,7 +29,6 @@ from .jets import (
     FieldJet,
     Jet,
     OrderError,
-    _dense,
     _mul,
     _refuse_unprintable,
     _subst,
@@ -96,15 +95,15 @@ def germ_to_field(f: Jet) -> FieldJet:
     K = 2 * tc.ell + 1
     if f.order < K:
         raise OrderError(f"order {f.order} < {K}")
-    fd = _dense(f, K)
-    term = _dense(Jet.identity(K), K)
+    fd = f.dense(K)
+    term = [0, 1] + [0] * (K - 1)  # x
     X = [Fraction(0)] * (K + 1)
     for k in count(1):
         term = [a - b for a, b in zip(_subst(term, fd, K), term)]  # (T_f - I) term
         if not any(term):
             break
         X = [c + Fraction((-1) ** (k + 1), k) * d for c, d in zip(X, term)]
-    return FieldJet(tuple(X[2:]))
+    return FieldJet.from_dense(X)
 
 
 def field_to_germ(X: FieldJet, t) -> Jet:
@@ -118,8 +117,8 @@ def field_to_germ(X: FieldJet, t) -> Jet:
         raise CarrierMismatch("field_to_germ needs the rational carrier")
     t = _as_fraction(t)
     K = X.order
-    Xd = (0, 0) + X.coeffs
-    term = _dense(Jet.identity(K), K)
+    Xd = X.dense(K)
+    term = [0, 1] + [0] * (K - 1)  # x
     out = term
     for k in count(1):
         deriv = [n * term[n] for n in range(1, K + 1)]
@@ -127,7 +126,7 @@ def field_to_germ(X: FieldJet, t) -> Jet:
         if not any(term):
             break
         out = [a + b for a, b in zip(out, term)]
-    return Jet(tuple(out[1:]))
+    return Jet.from_dense(out)
 
 
 def ramified_push(f: Jet, ell: int) -> Jet:

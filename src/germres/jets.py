@@ -1,9 +1,12 @@
 """Exact truncated composition algebra for 1-D germs and vector fields.
 
-A germ jet stores the coefficients a_1..a_k of x |-> sum_n a_n x^n with a_1
+Germ and field jets are one series type with a lowest degree fixed by the
+class.  A germ jet stores a_1..a_k of x |-> sum_n a_n x^n with a_1
 invertible; the group law is polynomial substitution with every term above
-x^k discarded.  A field jet stores the coefficients c_2..c_k of a vector
-field sum_n c_n x^n d/dx that is flat to at least first order at 0.
+x^k discarded.  A field jet stores c_2..c_k of a vector field
+sum_n c_n x^n d/dx, flat to at least first order at 0.  Both are indexed
+by degree; ``dense(K)`` lists the coefficients of x^0..x^K and
+``from_dense`` inverts it.  One JSON writer and one reader serve both.
 
 Two coefficient carriers are supported:
 
@@ -123,8 +126,9 @@ def _same_carrier(a, b):
 
 
 @dataclass(frozen=True)
-class Jet:
-    """Truncated series x + ... of an invertible germ, coefficients a_1..a_k."""
+class _Series:
+    """Truncated series sum_n c_n x^n, n = lowest..order, over a carrier;
+    ``coeffs`` holds c_lowest.. and each subclass fixes ``lowest``."""
 
     coeffs: tuple
     carrier: str = RATIONAL
@@ -132,44 +136,67 @@ class Jet:
     def __post_init__(self):
         coeffs = tuple(_as_scalar(c, self.carrier) for c in self.coeffs)
         if not coeffs:
-            raise OrderError("a jet needs at least the linear coefficient")
+            raise OrderError(self._empty)
         object.__setattr__(self, "coeffs", coeffs)
-        a1 = coeffs[0]
-        if self.carrier == INTEGER and a1 not in (1, -1):
-            raise NotInvertible(f"a_1 = {a1} is not a unit over the integers")
-        if a1 == 0:
-            raise NotInvertible("a_1 = 0 is not invertible")
 
     @classmethod
     def of(cls, *coeffs, carrier=RATIONAL):
         return cls(tuple(coeffs), carrier)
 
     @classmethod
-    def identity(cls, order, carrier=RATIONAL):
-        one = 1 if carrier == INTEGER else Fraction(1)
-        zero = 0 if carrier == INTEGER else Fraction(0)
-        return cls((one,) + (zero,) * (order - 1), carrier)
+    def from_dense(cls, dense, carrier=RATIONAL):
+        """The series with coefficients dense[lowest..]: inverts ``dense``."""
+        return cls(tuple(dense[cls.lowest :]), carrier)
+
+    def dense(self, K):
+        """Coefficients of x^0..x^K, zero below ``lowest`` and past the order."""
+        return ([0] * self.lowest + list(self.coeffs) + [0] * K)[: K + 1]
 
     @property
     def order(self):
-        return len(self.coeffs)
+        return len(self.coeffs) + self.lowest - 1
 
     def __getitem__(self, n):
-        """Coefficient a_n, degree-indexed (1 <= n <= order)."""
-        if not 1 <= n <= self.order:
-            raise OrderError(f"no coefficient of degree {n} in a jet of order {self.order}")
-        return self.coeffs[n - 1]
+        """Coefficient of x^n, degree-indexed (lowest <= n <= order)."""
+        if not self.lowest <= n <= self.order:
+            raise OrderError(f"no coefficient of degree {n} in a {self._kind}jet of order {self.order}")
+        return self.coeffs[n - self.lowest]
 
     def truncate(self, k):
-        if not 1 <= k <= self.order:
-            raise OrderError(f"cannot truncate order {self.order} to {k}")
-        return Jet(self.coeffs[:k], self.carrier)
+        if not self.lowest <= k <= self.order:
+            raise OrderError(f"cannot truncate {self._kind}order {self.order} to {k}")
+        return type(self)(self.coeffs[: k - self.lowest + 1], self.carrier)
 
     def pad(self, k):
-        """Extend with zero coefficients (claims the germ is an exact polynomial)."""
+        """Extend with zero coefficients (claims the series is an exact polynomial)."""
         if k < self.order:
             raise OrderError("pad target below current order")
-        return Jet(self.coeffs + (0,) * (k - self.order), self.carrier)
+        return type(self)(self.coeffs + (0,) * (k - self.order), self.carrier)
+
+    def __str__(self):
+        terms = [f"{c}*x^{n}" if n > 1 else f"{c}*x" for n, c in enumerate(self.coeffs, start=self.lowest) if c != 0]
+        return " + ".join(terms) if terms else "0"
+
+
+@dataclass(frozen=True)
+class Jet(_Series):
+    """Truncated series x + ... of an invertible germ, coefficients a_1..a_k."""
+
+    lowest = 1
+    _kind = ""  # in messages; a field jet's is also its JSON "kind"
+    _empty = "a jet needs at least the linear coefficient"
+
+    def __post_init__(self):
+        super().__post_init__()
+        a1 = self.coeffs[0]
+        if self.carrier == INTEGER and a1 not in (1, -1):
+            raise NotInvertible(f"a_1 = {a1} is not a unit over the integers")
+        if a1 == 0:
+            raise NotInvertible("a_1 = 0 is not invertible")
+
+    @classmethod
+    def identity(cls, order, carrier=RATIONAL):
+        return cls((1,) + (0,) * (order - 1), carrier)
 
     def is_parabolic(self):
         return self[1] == 1
@@ -185,70 +212,29 @@ class Jet:
     def is_identity(self):
         return self.is_parabolic() and all(c == 0 for c in self.coeffs[1:])
 
-    def __str__(self):
-        terms = []
-        for n, c in enumerate(self.coeffs, start=1):
-            if c == 0:
-                continue
-            terms.append(f"{c}*x^{n}" if n > 1 else f"{c}*x")
-        return " + ".join(terms) if terms else "0"
-
 
 @dataclass(frozen=True)
-class FieldJet:
+class FieldJet(_Series):
     """Truncated vector field sum c_n x^n d/dx, coefficients c_2..c_k."""
 
-    coeffs: tuple
-    carrier: str = RATIONAL
-
-    def __post_init__(self):
-        coeffs = tuple(_as_scalar(c, self.carrier) for c in self.coeffs)
-        if not coeffs:
-            raise OrderError("a field jet needs at least the degree-2 coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def of(cls, *coeffs, carrier=RATIONAL):
-        return cls(tuple(coeffs), carrier)
+    lowest = 2
+    _kind = "field "
+    _empty = "a field jet needs at least the degree-2 coefficient"
 
     @classmethod
     def zero(cls, order, carrier=RATIONAL):
         return cls((0,) * (order - 1), carrier)
 
     @property
-    def order(self):
-        return len(self.coeffs) + 1
-
-    def __getitem__(self, n):
-        """Coefficient c_n, degree-indexed (2 <= n <= order)."""
-        if not 2 <= n <= self.order:
-            raise OrderError(f"no coefficient of degree {n} in a field jet of order {self.order}")
-        return self.coeffs[n - 2]
-
-    @property
     def leading_index(self):
         """Smallest n with c_n != 0, or None for the zero field."""
-        for n in range(2, self.order + 1):
-            if self[n] != 0:
-                return n
-        return None
+        return next((n for n, c in enumerate(self.coeffs, start=self.lowest) if c != 0), None)
 
     def is_zero(self):
         return self.leading_index is None
 
-    def truncate(self, k):
-        if not 2 <= k <= self.order:
-            raise OrderError(f"cannot truncate field order {self.order} to {k}")
-        return FieldJet(self.coeffs[: k - 1], self.carrier)
-
-    def pad(self, k):
-        if k < self.order:
-            raise OrderError("pad target below current order")
-        return FieldJet(self.coeffs + (0,) * (k - self.order), self.carrier)
-
     def __str__(self):
-        terms = [f"{c}*x^{n}" for n, c in enumerate(self.coeffs, start=2) if c != 0]
-        return (" + ".join(terms) if terms else "0") + " d/dx"
+        return super().__str__() + " d/dx"
 
 
 # -- dense polynomial kernel (lists indexed by degree 0..K) -----------------
@@ -307,13 +293,6 @@ def _recip(a, K):
     return [Fraction(da * v, a0 ** (m + 1)) for m, v in enumerate(V)]
 
 
-def _dense(jet, K):
-    out = [0] * (K + 1)
-    for n in range(1, min(jet.order, K) + 1):
-        out[n] = jet[n]
-    return out
-
-
 def _subst(p, g, K):
     """p(g(x)) mod x^(K+1) by Horner, for dense p and dense g with g[0] = 0.
 
@@ -349,8 +328,7 @@ def compose(f: Jet, g: Jet) -> Jet:
     """Substitution f(g(x)) truncated at min(order(f), order(g))."""
     _same_carrier(f, g)
     K = min(f.order, g.order)
-    r = _subst(_dense(f, K), _dense(g, K), K)
-    return Jet(tuple(r[1 : K + 1]), f.carrier)
+    return Jet.from_dense(_subst(f.dense(K), g.dense(K), K), f.carrier)
 
 
 def invert(f: Jet) -> Jet:
@@ -397,33 +375,35 @@ def pullback_field(h: Jet, X: FieldJet) -> FieldJet:
     K = min(h.order, X.order)
     if K < 2:
         raise OrderError("field pullback needs order >= 2")
-    Xt = X.truncate(K)
-    if Xt.is_zero():
+    Xd = X.dense(K)
+    if not any(Xd):
         return FieldJet.zero(K, X.carrier)
-    r = _subst((0, 0) + Xt.coeffs, _dense(h, K), K)  # X(h(x))
+    r = _subst(Xd, h.dense(K), K)  # X(h(x))
     Dh = [n * h[n] for n in range(1, K + 1)]
     y = _mul(r, _recip(Dh, K), K)
     if y[1] != 0:
         raise OrderError("pullback produced a linear term; input field was not flat")
-    return FieldJet(tuple(y[2 : K + 1]), X.carrier)
+    return FieldJet.from_dense(y, X.carrier)
 
 
 # -- serialization -----------------------------------------------------------
 
-def _coeff_str(c):
-    return str(c)
-
-
-def jet_to_dict(f: Jet) -> dict:
-    doc = {"order": f.order, "coeffs": [_coeff_str(c) for c in f.coeffs]}
-    if f.carrier == INTEGER:
+def jet_to_dict(s) -> dict:
+    """JSON document of a germ or field jet: "kind" for a field jet, the
+    order, the coefficients as "p/q" strings and a non-default carrier."""
+    doc = {"kind": s._kind.rstrip()} if s._kind else {}
+    doc.update(order=s.order, coeffs=[str(c) for c in s.coeffs])
+    if s.carrier == INTEGER:
         doc["carrier"] = INTEGER
     return doc
 
 
-def _read_coeffs(doc, offset):
-    """(coefficients, carrier) of a jet document whose 'coeffs' list holds
-    order - offset exact entries: strings such as "-3/4", or integers."""
+field_to_dict = jet_to_dict
+
+
+def _from_dict(cls, doc):
+    """The ``cls`` series of a document whose 'coeffs' list holds one exact
+    entry per degree lowest..order: strings such as "-3/4", or integers."""
     if not isinstance(doc, dict) or "order" not in doc or "coeffs" not in doc:
         raise CoefficientError("jet JSON needs an object with 'order' and 'coeffs'")
     order, raw = doc["order"], doc["coeffs"]
@@ -431,17 +411,25 @@ def _read_coeffs(doc, offset):
         raise OrderError(f"order must be an integer, not {order!r}")
     if not isinstance(raw, list):
         raise CoefficientError(f"'coeffs' must be a list, not {raw!r}")
+    offset = cls.lowest - 1
     if len(raw) != order - offset:
         raise OrderError(f"coeffs length {len(raw)} != order - {offset} = {order - offset}")
-    return tuple(_as_scalar(c, RATIONAL) for c in raw), doc.get("carrier", RATIONAL)
+    return cls(tuple(_as_scalar(c, RATIONAL) for c in raw), doc.get("carrier", RATIONAL))
 
 
 def jet_from_dict(doc: dict) -> Jet:
-    return Jet(*_read_coeffs(doc, 0))
+    return _from_dict(Jet, doc)
 
 
-def jet_to_json(f: Jet) -> str:
-    return json.dumps(jet_to_dict(f), sort_keys=True)
+def field_from_dict(doc: dict) -> FieldJet:
+    return _from_dict(FieldJet, doc)
+
+
+def jet_to_json(s) -> str:
+    return json.dumps(jet_to_dict(s), sort_keys=True)
+
+
+field_to_json = jet_to_json
 
 
 def _read_json(text: str):
@@ -456,21 +444,6 @@ def _read_json(text: str):
 
 def jet_from_json(text: str) -> Jet:
     return jet_from_dict(_read_json(text))
-
-
-def field_to_dict(X: FieldJet) -> dict:
-    doc = {"kind": "field", "order": X.order, "coeffs": [_coeff_str(c) for c in X.coeffs]}
-    if X.carrier == INTEGER:
-        doc["carrier"] = INTEGER
-    return doc
-
-
-def field_from_dict(doc: dict) -> FieldJet:
-    return FieldJet(*_read_coeffs(doc, 1))
-
-
-def field_to_json(X: FieldJet) -> str:
-    return json.dumps(field_to_dict(X), sort_keys=True)
 
 
 def field_from_json(text: str) -> FieldJet:

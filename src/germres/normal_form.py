@@ -86,11 +86,10 @@ def tangency_order(f: Jet) -> TangencyClass:
     return TangencyClass(ell=f.order, exact=False)
 
 
-def _index_residue(c, ell):
-    """-[x^ell] 1/(c_0 + c_1 x + ... + c_ell x^ell) for the coefficients c
-    from the leading one on: res of a germ from a_{ell+1}.., mu of a field
-    from c_{ell+1}.."""
-    return -_recip(c[: ell + 1], ell)[ell]
+def _index_residue(s, ell):
+    """-[x^ell] 1/(s_{ell+1} + s_{ell+2} x + ... + s_{2ell+1} x^ell) for the
+    coefficients s_n of a series: res of a germ jet, mu of a field jet."""
+    return -_recip(s.dense(2 * ell + 1)[ell + 1 :], ell)[ell]
 
 
 def residue_report(f: Jet) -> ResidueReport:
@@ -104,7 +103,7 @@ def residue_report(f: Jet) -> ResidueReport:
     ell = tc.ell
     if f.order < 2 * ell + 1:
         raise OrderError(f"order {f.order} < {2 * ell + 1}")
-    res = _index_residue(f.coeffs[ell:], ell)
+    res = _index_residue(f, ell)
     return ResidueReport(
         ell=ell,
         leading=f[ell + 1],
@@ -164,5 +163,5 @@ def reduce_field(X: FieldJet):
         Y = pullback_field(h, Y)
         conj = compose(conj, h)
         steps.append((s + 1, alpha))
-    mu = _index_residue(X.coeffs[ell - 1 :], ell)
+    mu = _index_residue(X, ell)
     return ReductionTrace(conjugator=conj, reduced=Y, steps=tuple(steps)), mu

@@ -270,7 +270,7 @@ def field_from_coeffs(name: str, coeffs: dict, x_max: float = 1.0) -> NumericFie
 
 def field_from_jet(X, name: str = "", x_max: float = 1.0) -> NumericField:
     """Numeric field from an exact FieldJet (rational carrier)."""
-    coeffs = {n: X[n] for n in range(2, X.order + 1) if X[n] != 0}
+    coeffs = {n: c for n, c in enumerate(X.dense(X.order)) if c != 0}
     if not coeffs:
         raise ValueError("zero field jet")
     return field_from_coeffs(name or f"jet-field[{X.order}]", coeffs, x_max=x_max)
@@ -449,11 +449,13 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
     """f^t(x0) for the flow of X: the solution of tau(result) = t.
 
     Raises :class:`ReachabilityError` when the time-t image would leave
-    (0, x_max].
+    (0, x_max], and :class:`DomainError` when t is not finite.
     """
     from ._solvers import brentq
 
     field.check_point(x0)
+    if not math.isfinite(t):
+        raise DomainError(f"time must be finite, not {t}")
     if t == 0.0:
         return x0
     target = float(t)

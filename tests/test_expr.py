@@ -247,3 +247,16 @@ def test_literals_past_the_float_range_fail_only_float_evaluation():
         e.catalog_tag()
     with pytest.raises(CoefficientError, match="an exponent"):
         parse_expr(f"x - x^{huge}").func
+
+
+@pytest.mark.parametrize("text, values, derivatives", [("x/(1+2*x)", 3, 3), ("x + x^2 + x^3*log(x)", 6, 6)])
+def test_value_evaluators_run_only_value_statements(text, values, derivatives):
+    # the orbit loop inlines the increment's body at every step, so a
+    # derivative statement there would be paid once per step
+    e = parse_expr(text)
+    value_lines = e.func._germres_body.lines
+    assert len(value_lines) == values
+    assert e.increment._germres_body.lines == value_lines
+    all_lines = e.deriv._germres_body.lines
+    assert len(all_lines) == values + derivatives
+    assert [line for line in all_lines if line in value_lines] == list(value_lines)

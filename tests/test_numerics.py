@@ -88,6 +88,13 @@ def test_flow_map_negative_time_and_reachability():
         flow_map(X, 0.5, -10.0)  # would exit (0, 1]
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_flow_map_refuses_a_time_that_is_not_finite(t):
+    for name in ("neg_x2", "x2"):
+        with pytest.raises(DomainError, match="time must be finite"):
+            flow_map(catalog_field(name), 0.25, t)
+
+
 def test_tau_residual_contract():
     for tag in ("neg_x2", "neg_x2_x3", "neg_x3"):
         X = catalog_field(tag)
