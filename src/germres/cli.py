@@ -42,6 +42,7 @@ from .jets import (
     Jet,
     NotInvertible,
     OrderError,
+    _unprintable,
     field_from_json,
     jet_from_json,
     jet_to_dict,
@@ -74,7 +75,10 @@ MAX_JET_ORDER = 49
 
 def _scalar(v):
     if isinstance(v, Fraction):
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:  # past the int-to-str digit limit
+            raise _unprintable("result") from None
     if isinstance(v, complex):
         return {"im": v.imag, "re": v.real}
     return v

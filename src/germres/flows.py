@@ -5,13 +5,18 @@ order K, the time-t map of dx/dt = X(x) is the Lie series
 
     exp(t X) = sum_k t^k/k! L_X^k(x),    L_X g = X * g',
 
-and for an exactly ell-tangent germ f the generator is the formal log
+and for a parabolic germ f the generator is the formal log
 
     log f = sum_k (-1)^(k+1)/k (T_f - I)^k(x),    T_f g = g o f,
 
-taken on f truncated at order 2*ell+1.  Both series are finite: L_X and
+which ``_formal_log`` takes at any order K; ``germ_to_field`` takes it at
+K = 2*ell+1 for an exactly ell-tangent f.  Both series are finite: L_X and
 T_f - I raise the order of a series by at least 1 and by ell respectively,
-so the sums stop after at most K-1 and 2 terms.  ``flow_in_G`` is
+so the sums stop after at most K-1 and (K-1)/ell terms.  Both run on the
+integer kernel of ``jets``: each term and the running sum are integer
+numerators over one common denominator, the term's content is stripped
+with one ``math.gcd`` per step, T_f is the kernel's scaled Horner loop,
+and each series becomes Fractions once, at the end.  ``flow_in_G`` is
 exp(t log f); it agrees with the closed-form flow stated in the README.
 ``power`` is square-and-multiply over ``compose`` rather than
 exp(n log f), so it also takes integer-carrier jets and jets with
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+from math import lcm
 
 from .jets import (
     RATIONAL,
@@ -29,9 +35,12 @@ from .jets import (
     FieldJet,
     Jet,
     OrderError,
-    _mul,
+    _conv,
+    _reduced,
     _refuse_unprintable,
-    _subst,
+    _scaled,
+    _subst_scaled,
+    _unscaled,
     compose,
     invert,
     read_rational,
@@ -95,15 +104,27 @@ def germ_to_field(f: Jet) -> FieldJet:
     K = 2 * tc.ell + 1
     if f.order < K:
         raise OrderError(f"order {f.order} < {K}")
-    fd = f.dense(K)
-    term = [0, 1] + [0] * (K - 1)  # x
-    X = [Fraction(0)] * (K + 1)
+    return _formal_log(f, K)
+
+
+def _formal_log(f: Jet, K: int) -> FieldJet:
+    """Order-K formal log of a rational parabolic jet f of order >= K: the
+    field jet sum_k (-1)^(k+1)/k (T_f - I)^k(x) mod x^(K+1)."""
+    if not f.is_parabolic():
+        raise TangencyError(f"not parabolic: a_1 = {f[1]}")
+    F, df, _ = _scaled(f.dense(K))
+    T, dt = [0, 1] + [0] * (K - 1), 1  # term T / dt, starting at x
+    X, dX = [0] * (K + 1), 1  # running sum X / dX
     for k in count(1):
-        term = [a - b for a, b in zip(_subst(term, fd, K), term)]  # (T_f - I) term
-        if not any(term):
+        R, dr = _subst_scaled(T, dt, F, df, K)  # T_f term
+        den = lcm(dr, dt)
+        T, dt = _reduced([a * (den // dr) - b * (den // dt) for a, b in zip(R, T)], den)
+        if not any(T):
             break
-        X = [c + Fraction((-1) ** (k + 1), k) * d for c, d in zip(X, term)]
-    return FieldJet.from_dense(X)
+        den = lcm(dX, k * dt)  # X += (-1)^(k+1)/k term
+        up, step = den // dX, (den // (k * dt)) * (-1) ** (k + 1)
+        X, dX = [a * up + b * step for a, b in zip(X, T)], den
+    return FieldJet.from_dense(_unscaled(X, dX, False))
 
 
 def field_to_germ(X: FieldJet, t) -> Jet:
@@ -117,16 +138,19 @@ def field_to_germ(X: FieldJet, t) -> Jet:
         raise CarrierMismatch("field_to_germ needs the rational carrier")
     t = _as_fraction(t)
     K = X.order
-    Xd = X.dense(K)
-    term = [0, 1] + [0] * (K - 1)  # x
-    out = term
+    V, dv, _ = _scaled(X.dense(K))
+    T, dt = [0, 1] + [0] * (K - 1), 1  # term T / dt, starting at x
+    out, dout = T, 1  # running sum out / dout
     for k in count(1):
-        deriv = [n * term[n] for n in range(1, K + 1)]
-        term = [t / k * c for c in _mul(Xd, deriv, K)]  # t/k L_X term
-        if not any(term):
+        # t/k L_X term = t/k X term'
+        product = _conv(V, [n * T[n] for n in range(1, K + 1)], K)
+        T, dt = _reduced([t.numerator * c for c in product], dt * dv * t.denominator * k)
+        if not any(T):
             break
-        out = [a + b for a, b in zip(out, term)]
-    return Jet.from_dense(out)
+        den = lcm(dout, dt)
+        up, step = den // dout, den // dt
+        out, dout = [a * up + b * step for a, b in zip(out, T)], den
+    return Jet.from_dense(_unscaled(out, dout, False))
 
 
 def ramified_push(f: Jet, ell: int) -> Jet:

@@ -6,7 +6,9 @@ invertible; the group law is polynomial substitution with every term above
 x^k discarded.  A field jet stores c_2..c_k of a vector field
 sum_n c_n x^n d/dx, flat to at least first order at 0.  Both are indexed
 by degree; ``dense(K)`` lists the coefficients of x^0..x^K and
-``from_dense`` inverts it.  One JSON writer and one reader serve both.
+``from_dense`` inverts it.  One JSON writer and one reader serve both; the
+writer refuses a coefficient past the int-to-str digit limit with
+CoefficientError, as ``power`` does, rather than let ``str`` fail.
 
 Two coefficient carriers are supported:
 
@@ -26,11 +28,14 @@ each truncated at degree K.  The kernel rescales its inputs once to
 integer numerators over a common denominator (``math.lcm``), multiplies
 plain ints, strips the common content with one ``math.gcd`` per Horner
 step, and returns normalized Fractions, or ints on the integer carrier.
-``compose`` is ``_subst``; ``invert`` is Lagrange inversion,
-b_n = [x^(n-1)] (x/f)^n / n, with x/f from ``_recip`` and its powers taken
-over the integers, so it costs O(K^3) multiplications against O(K^4) for
-solving one coefficient at a time; ``pullback_field`` multiplies X(h) by
-``_recip(Dh)``.
+The Horner loop itself is ``_subst_scaled``, which takes and returns
+integer numerators over a common denominator; ``_subst`` wraps it for
+``compose`` and ``pullback_field``, and the series of ``flows`` call it
+directly, so all of them share one loop.  ``compose`` is ``_subst``;
+``invert`` is Lagrange inversion, b_n = [x^(n-1)] (x/f)^n / n, with x/f
+from ``_recip`` and its powers taken over the integers, so it costs
+O(K^3) multiplications against O(K^4) for solving one coefficient at a
+time; ``pullback_field`` multiplies X(h) by ``_recip(Dh)``.
 """
 
 from __future__ import annotations
@@ -66,14 +71,18 @@ def _int_digit_limit():
     return getattr(sys, "get_int_max_str_digits", int)() or 4300
 
 
+def _unprintable(what):
+    """The CoefficientError for a coefficient past the int-to-str digit limit."""
+    return CoefficientError(f"{what}: a coefficient passes {_int_digit_limit()} digits, the most an integer may print")
+
+
 def _refuse_unprintable(coeffs, what):
     """CoefficientError once a coefficient passes the int-to-str digit limit:
     it cannot be printed, and squaring it on would only take longer."""
-    digits = _int_digit_limit()
-    max_bits = int(digits / log10(2)) + 1
+    max_bits = int(_int_digit_limit() / log10(2)) + 1
     for c in coeffs:
         if max(abs(c.numerator), c.denominator).bit_length() > max_bits:
-            raise CoefficientError(f"{what}: a coefficient passes {digits} digits, the most an integer may print")
+            raise _unprintable(what)
 
 
 def read_rational(text: str) -> Fraction:
@@ -255,6 +264,16 @@ def _unscaled(nums, den, ints):
     return [Fraction(n, den) for n in nums]
 
 
+def _reduced(nums, den):
+    """nums / den with the content common to den and every numerator divided
+    out: one ``math.gcd`` per call, so partial results stay small."""
+    if den != 1:
+        content = gcd(den, *nums)
+        if content != 1:
+            return [c // content for c in nums], den // content
+    return nums, den
+
+
 def _conv(A, B, K):
     """Integer product A * B mod x^(K+1)."""
     out = [0] * (K + 1)
@@ -294,15 +313,22 @@ def _recip(a, K):
 
 
 def _subst(p, g, K):
-    """p(g(x)) mod x^(K+1) by Horner, for dense p and dense g with g[0] = 0.
+    """p(g(x)) mod x^(K+1) by Horner, for dense p and dense g with g[0] = 0."""
+    P, dp, ip = _scaled(p[: K + 1])
+    G, dg, ig = _scaled(g[: K + 1])
+    R, dr = _subst_scaled(P, dp, G, dg, K)
+    return _unscaled(R, dr, ip and ig)
+
+
+def _subst_scaled(P, dp, G, dg, K):
+    """(R, dr) with R / dr = p(g(x)) mod x^(K+1), for p = P / dp and
+    g = G / dg given and returned as integer numerators; len(R) = K + 1.
 
     The partial sum r = R / dr carries integer numerators.  Before r takes
     p_n it only matters through degree K - n, since the n later
     multiplications by g raise every degree by at least one each.
     """
-    top = min(len(p) - 1, K)
-    P, dp, ip = _scaled(p[: top + 1])
-    G, dg, ig = _scaled(g[: K + 1])
+    top = min(len(P) - 1, K)
     R, dr = [P[top]], dp
     for n in range(top - 1, -1, -1):
         out = _conv(R, G, K - n)
@@ -314,14 +340,8 @@ def _subst(p, g, K):
                 out = [c * scale for c in out]
             out[0] += P[n] * (dr // common)
             dr = dr // common * dp
-        if dr != 1:
-            content = gcd(dr, *out)
-            if content != 1:
-                out = [c // content for c in out]
-                dr //= content
-        R = out
-    R += [0] * (K + 1 - len(R))
-    return _unscaled(R, dr, ip and ig)
+        R, dr = _reduced(out, dr)
+    return R + [0] * (K + 1 - len(R)), dr
 
 
 def compose(f: Jet, g: Jet) -> Jet:
@@ -391,8 +411,12 @@ def pullback_field(h: Jet, X: FieldJet) -> FieldJet:
 def jet_to_dict(s) -> dict:
     """JSON document of a germ or field jet: "kind" for a field jet, the
     order, the coefficients as "p/q" strings and a non-default carrier."""
+    try:
+        coeffs = [str(c) for c in s.coeffs]
+    except ValueError:  # past the int-to-str digit limit
+        raise _unprintable(f"{s._kind}jet") from None
     doc = {"kind": s._kind.rstrip()} if s._kind else {}
-    doc.update(order=s.order, coeffs=[str(c) for c in s.coeffs])
+    doc.update(order=s.order, coeffs=coeffs)
     if s.carrier == INTEGER:
         doc["carrier"] = INTEGER
     return doc

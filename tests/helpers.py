@@ -90,6 +90,43 @@ def fraction_subst(p, g, K):
     return out
 
 
+def reference_germ_to_field(f, K=None):
+    """The formal log sum_k (-1)^(k+1)/k (T_f - I)^k(x) mod x^(K+1), one
+    Fraction term at a time; K defaults to 2 ell + 1, ell + 1 being the
+    degree of the first nonzero coefficient of f - x."""
+    if K is None:
+        ell = next(n for n in range(2, f.order + 1) if f[n] != 0) - 1
+        K = 2 * ell + 1
+    fd = f.dense(K)
+    term = [Fraction(0), Fraction(1)] + [Fraction(0)] * (K - 1)  # x
+    X = [Fraction(0)] * (K + 1)
+    k = 0
+    while True:
+        k += 1
+        term = [a - b for a, b in zip(fraction_subst(term, fd, K), term)]  # (T_f - I) term
+        if not any(term):
+            return FieldJet.from_dense(X)
+        X = [c + Fraction((-1) ** (k + 1), k) * d for c, d in zip(X, term)]
+
+
+def reference_field_to_germ(X, t):
+    """The Lie series sum_k t^k/k! L_X^k(x) mod x^(K+1), K the order of X,
+    one Fraction term at a time."""
+    t = Fraction(t)
+    K = X.order
+    Xd = X.dense(K)
+    term = [Fraction(0), Fraction(1)] + [Fraction(0)] * (K - 1)  # x
+    out = term
+    k = 0
+    while True:
+        k += 1
+        deriv = [n * term[n] for n in range(1, K + 1)]
+        term = [t / k * c for c in fraction_mul(Xd, deriv, K)]  # t/k L_X term
+        if not any(term):
+            return Jet.from_dense(out)
+        out = [a + b for a, b in zip(out, term)]
+
+
 def quartic_invert(f):
     """Compositional inverse solved one coefficient at a time: b_n is read
     off f(b_1 x + ... + b_(n-1) x^(n-1)), one composition per coefficient."""

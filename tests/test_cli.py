@@ -432,6 +432,28 @@ def test_huge_constant_power_is_refused_quickly():
     assert strict_error_code(proc.stdout) == "CoefficientError"
 
 
+NINES = "9" * 4200  # a legal literal whose square cannot be printed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exp", "--field", json.dumps({"kind": "field", "order": 49, "coeffs": ["-1"] + ["0"] * 47}), "--time", NINES],
+        ["flow", "--expr", "x - x^2", "--order", "3", "--time", NINES],
+        ["field", "--jet", json.dumps({"order": 3, "coeffs": ["1", NINES, "0"]})],
+        ["residue", "--jet", json.dumps({"order": 3, "coeffs": ["1", NINES, "1"]})],  # resit holds a_2^2
+    ],
+    ids=["exp", "flow", "field", "residue"],
+)
+def test_an_unprintable_exact_result_is_a_coefficient_error(capsys, argv):
+    # the exact answer exists but passes the int-to-str digit limit; the verbs
+    # refuse it as power does, not with the interpreter's own ValueError
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert strict_error_code(out) == "CoefficientError"
+    assert json.loads(out)["error"]["message"].endswith("digits, the most an integer may print")
+
+
 def test_conjugate_across_a_zero_of_the_field_is_refused(capsys):
     # -4/7 x^2 + 9 x^3 vanishes at 4/63 < x0
     argv = ("conjugate", "--X", "poly:0,-4/7,9", "--Y", "poly:0,-1", "--x0", "0.15", "--grid", "0.003")
