@@ -6,11 +6,15 @@ Run:  python demos/05_szekeres_and_conjugacy.py
 """
 
 from germres import (
+    FieldJet,
     canonical_conjugacy,
     catalog_field,
     catalog_germ,
     divergence_diagnostic,
+    field_to_germ,
     flow_map,
+    residue_report,
+    schwarzian_at_origin,
     szekeres_field,
 )
 from germres.catalog import szekeres_numeric_field
@@ -50,6 +54,19 @@ print(f"  fitted slope against log(1/x): {report.slope:.4f}  "
 
 same = divergence_diagnostic(X, X, [1e-2, 1e-3, 1e-4, 1e-5])
 print(f"  identical fields for comparison: slope {same.slope:.1e}")
+
+print("\nSo the Schwarzian at 0 moves under a C^1 parabolic conjugacy (the")
+print("abstract's headline at l = 1). Exactly, the time-1 map g_b of")
+print("-x^2 + b x^3 has S(0) = -6b and resit -b:")
+for b in (0, -1, 3):
+    g = field_to_germ(FieldJet.of(-1, b), 1)
+    print(f"  b = {b:2d}: g_b = {g}   S(0) = {schwarzian_at_origin(g)}, resit = {residue_report(g).resit}")
+print("Numerically, h from -x^2 (g_0, S = 0) to -x^2 - x^3 (g_-1, S = 6)")
+print("conjugates the time-1 maps, and Dh -> 1 though h is not C^2:")
+h = canonical_conjugacy(X, Z, 0.1)
+for x in (1e-2, 1e-4, 1e-6):
+    dev = abs(h(x / (1 + x)) - flow_map(Z, h(x), 1.0)) / x
+    print(f"  x = {x:6.0e}   |h(g_0(x)) - g_-1(h(x))|/x = {dev:.1e}   Dh(x) - 1 = {h.deriv(x) - 1:+.2e}")
 
 print("\nThe iterative field of x - x^2, built pointwise, conjugates to -x^2")
 print("with Dh -> 1 (a parabolic conjugacy, as the leading terms force):")

@@ -28,7 +28,6 @@ from .jets import (
     jet_from_json,
     jet_to_json,
     field_from_json,
-    field_to_json,
     pullback_field,
 )
 from .residues import (
@@ -112,7 +111,6 @@ __all__ = [
     "field_from_jet",
     "field_from_json",
     "field_to_germ",
-    "field_to_json",
     "flow_in_G",
     "flow_map",
     "flows",

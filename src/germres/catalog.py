@@ -26,9 +26,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .jets import CoefficientError, Jet, OrderError, read_rational
+from .jets import CoefficientError, FieldJet, Jet, OrderError, read_rational
 from .normal_form import tangency_order
-from .numerics import DomainError, GermSpec, NumericField, _codegen, _horner, field_from_coeffs, szekeres_field
+from .numerics import DomainError, GermSpec, NumericField, _codegen, _horner, szekeres_field
+from .numerics import field_from_coeffs, field_from_jet
 
 
 def _quadratic_jet(order: int) -> Jet:
@@ -241,45 +242,34 @@ def catalog_germ(tag: str) -> GermSpec:
 def pullback_numeric_field(h: GermSpec, X: NumericField, name: str = "") -> NumericField:
     """Transport of X along h: Y(x) = X(h(x)) / Dh(x).  The flow of Y is
     h^{-1} o (flow of X) o h.  For parabolic h the flatness order and
-    leading coefficient are unchanged."""
+    leading coefficient are unchanged; that leading term is Y's jet."""
 
     def func(x):
         return X.func(h.func(x)) / h.deriv(x)
 
-    return NumericField(
-        name=name or f"{h.name}*{X.name}",
-        func=func,
-        ell=X.ell,
-        leading=X.leading,
-        x_max=min(h.x_max, X.x_max),
-    )
+    lead = FieldJet.from_dense([0] * (X.ell + 1) + [Fraction(X.leading)])
+    return field_from_jet(lead, name or f"{h.name}*{X.name}", min(h.x_max, X.x_max), func)
 
 
 def szekeres_numeric_field(germ: GermSpec, n: int = 10_000) -> NumericField:
     """Generating field of a contracting germ, evaluated pointwise by a
     fixed-depth Szekeres iteration (fixed n keeps the evaluator smooth in
-    x, which the quadrature relies on).  The depth ``n`` must be at least 1."""
+    x, which the quadrature relies on); its jet is the generating field of
+    the germ's exact (2 ell + 1)-jet, or without one its leading term.  The
+    depth ``n`` must be at least 1."""
     if n < 1:
         raise DomainError(f"the Szekeres depth n must be at least 1, not {n}")
-    tail = ()
-    if germ.jet_fn is not None:
-        # tail coefficients from the exact jet, for the quadrature split
+    if germ.jet_fn is None:
+        X = FieldJet.from_dense([0] * (germ.ell + 1) + [-Fraction(germ.a)])
+    else:
         from .flows import germ_to_field
 
         X = germ_to_field(germ.jet_fn(2 * germ.ell + 1))
-        tail = tuple(float(X[d]) for d in range(germ.ell + 2, X.order + 1))
 
     def func(x):
         return szekeres_field(germ, x, n_max=n, tol=0.0).value
 
-    return NumericField(
-        name=f"szekeres[{germ.name}]",
-        func=func,
-        ell=germ.ell,
-        leading=-germ.a,
-        x_max=germ.x_max,
-        tail=tail,
-    )
+    return field_from_jet(X, f"szekeres[{germ.name}]", germ.x_max, func)
 
 
 def catalog_field(tag: str) -> NumericField:

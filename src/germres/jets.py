@@ -239,9 +239,6 @@ class FieldJet(_Series):
         """Smallest n with c_n != 0, or None for the zero field."""
         return next((n for n, c in enumerate(self.coeffs, start=self.lowest) if c != 0), None)
 
-    def is_zero(self):
-        return self.leading_index is None
-
     def __str__(self):
         return super().__str__() + " d/dx"
 
@@ -422,9 +419,6 @@ def jet_to_dict(s) -> dict:
     return doc
 
 
-field_to_dict = jet_to_dict
-
-
 def _from_dict(cls, doc):
     """The ``cls`` series of a document whose 'coeffs' list holds one exact
     entry per degree lowest..order: strings such as "-3/4", or integers."""
@@ -451,9 +445,6 @@ def field_from_dict(doc: dict) -> FieldJet:
 
 def jet_to_json(s) -> str:
     return json.dumps(jet_to_dict(s), sort_keys=True)
-
-
-field_to_json = jet_to_json
 
 
 def _read_json(text: str):

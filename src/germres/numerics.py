@@ -21,13 +21,16 @@ The operations here are the numeric counterparts of the exact jet algebra:
 tau is computed by splitting off the Laurent part of 1/X at the flat end:
 the terms y^{-(l+1)}..y^{-1} are integrated in closed form and only the
 remainder goes to adaptive quadrature, in s = log y.  A black-box field's
-remainder is O(1/y) (its residue need not be the one its tail coefficients
-give), which in y would make the quadrature subdivide every decade between
-x and x0; in log y it is bounded.  The split is computed
-exactly on the jets kernel, once per field, on first use, and kept on the
-field itself (``NumericField._tau_scheme``).  Fields that are exact
-polynomials carry their coefficients as exact rationals, in which case the
-remainder is assembled without any cancellation at all.
+remainder is O(1/y) (its residue need not be the one its jet gives), which
+in y would make the quadrature subdivide every decade between x and x0; in
+log y it is bounded.  Every field carries its exact jet at 0
+(``NumericField.jet``, a rational ``FieldJet``) and is built by
+``field_from_jet``: from the jet alone for a polynomial field, or from the
+jet and an evaluator.  The split is computed exactly from that jet on the
+jets kernel, once per field, on first use, and kept on the field itself
+(``NumericField._tau_scheme``); each Laurent coefficient is rounded once.
+For a polynomial field (``NumericField.polynomial``) the remainder is
+assembled exactly too, without any cancellation at all.
 
 The quadrature of tau and the root search of flow_map are the package's
 own ports of QUADPACK's dqagse and of Brent's method (``germres._solvers``).
@@ -75,8 +78,8 @@ MAX_CONTOUR_POINTS = 1 << 20
 MAX_ORBIT_STEPS = 10**7
 
 # an exact polynomial field's first zero is found by a Sturm search over the
-# integer polynomial _sturm_base builds; its cost grows steeply with that
-# polynomial's degree and total bit length (a zero near 2^-b takes about b
+# integer polynomial S times its common denominator; its cost grows steeply
+# with that polynomial's degree and total bit length (a zero near 2^-b takes about b
 # bisection steps, each on numbers of about degree * b bits), so longer or
 # larger input is refused; within both bounds the search takes ~0.3 s at
 # worst on a 2-core Xeon
@@ -149,10 +152,11 @@ class NumericField:
     """A vector field X(x) d/dx, nonvanishing on (0, x_max], flat of order
     ``ell`` at 0 with signed leading coefficient ``leading``.
 
-    ``poly`` (exact rationals, ascending from degree ell+1) declares that
-    ``func`` *is* that polynomial; ``tail`` gives approximate higher
-    coefficients c_{ell+2}.. for black-box fields and is used only to tame
-    the quadrature near 0.
+    ``jet``, when present, is the field's exact jet at 0, from which the
+    split of 1/X is computed (without it, only the leading term is known).
+    ``polynomial`` declares that ``func`` *is* that jet as a polynomial;
+    otherwise the jet only tames the quadrature near 0.  Build fields with
+    ``field_from_jet``.
     """
 
     name: str
@@ -160,8 +164,8 @@ class NumericField:
     ell: int
     leading: float
     x_max: float = 1.0
-    poly: tuple = ()
-    tail: tuple = ()
+    jet: Optional[jets.FieldJet] = None
+    polynomial: bool = False
 
     def is_contracting(self) -> bool:
         return self.leading < 0
@@ -245,35 +249,51 @@ def _horner_factory(n, power):
     return _codegen([("poly", lines, result)], [f"c{i}" for i in range(n)], filename="<germres polynomial>")
 
 
+def _check_span(name, m, top):
+    if top - m > MAX_POLY_DEGREE:
+        raise DomainError(f"{name}: the degrees span {top - m}, more than {MAX_POLY_DEGREE}")
+
+
 def field_from_coeffs(name: str, coeffs: dict, x_max: float = 1.0) -> NumericField:
     """Polynomial field from exact {degree: coefficient} data."""
     exact = {int(d): Fraction(c) for d, c in coeffs.items() if c != 0}
     if not exact or min(exact) < 2:
         raise ValueError("need a nonzero polynomial with degrees >= 2")
-    m, top = min(exact), max(exact)
-    if top - m > MAX_POLY_DEGREE:
-        raise DomainError(f"{name}: the degrees span {top - m}, more than {MAX_POLY_DEGREE}")
-    ell = m - 1
-    poly = tuple(exact.get(d, Fraction(0)) for d in range(m, top + 1))
-    bits = sum(c.bit_length() for c in _sturm_base([c / poly[0] for c in poly]))
-    if bits > MAX_POLY_BITS:
-        raise DomainError(
-            f"{name}: the coefficients over a common denominator take {bits} bits, more than {MAX_POLY_BITS}"
-        )
+    top = max(exact)
+    _check_span(name, min(exact), top)  # before a dense list of top terms is built
+    return field_from_jet(jets.FieldJet.from_dense([exact.get(d, 0) for d in range(top + 1)]), name, x_max)
+
+
+def field_from_jet(X, name: str = "", x_max: float = 1.0, func=None) -> NumericField:
+    """Numeric field from an exact FieldJet X, which gives ``ell`` and
+    ``leading``.  With no ``func`` the field is the polynomial X (within
+    MAX_POLY_DEGREE and MAX_POLY_BITS), evaluated by Horner's rule; with a
+    ``func``, the field is evaluated by ``func`` and X is its jet at 0."""
+    name = name or f"jet-field[{X.order}]"
+    if X.carrier != jets.RATIONAL:
+        X = jets.FieldJet(X.coeffs)
+    m = X.leading_index
+    if m is None:
+        raise ValueError("zero field jet")
+    polynomial = func is None
     try:
-        fl = [float(c) for c in poly]
+        if polynomial:
+            top = max(n for n in range(m, X.order + 1) if X[n] != 0)
+            _check_span(name, m, top)
+            X = X.truncate(top)
+            coeffs = X.dense(top)[m:]
+            bits = sum(c.bit_length() for c in jets._scaled([c / coeffs[0] for c in coeffs])[0])
+            if bits > MAX_POLY_BITS:
+                raise DomainError(
+                    f"{name}: the coefficients over a common denominator take {bits} bits, more than {MAX_POLY_BITS}"
+                )
+            fl = [float(c) for c in coeffs]
+            func = _horner(fl, m)
+        else:
+            fl = [float(X[m])]
     except OverflowError:
         raise DomainError(f"{name}: a coefficient passes the float range") from None
-    func = _horner(fl, m)
-    return NumericField(name=name, func=func, ell=ell, leading=fl[0], x_max=x_max, poly=poly)
-
-
-def field_from_jet(X, name: str = "", x_max: float = 1.0) -> NumericField:
-    """Numeric field from an exact FieldJet (rational carrier)."""
-    coeffs = {n: c for n, c in enumerate(X.dense(X.order)) if c != 0}
-    if not coeffs:
-        raise ValueError("zero field jet")
-    return field_from_coeffs(name or f"jet-field[{X.order}]", coeffs, x_max=x_max)
+    return NumericField(name=name, func=func, ell=m - 1, leading=fl[0], x_max=x_max, jet=X, polynomial=polynomial)
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +306,17 @@ class _TauScheme:
     With S = X / (c y^(ell+1)), c the leading coefficient, and E = 1/S
     through degree ell, the Laurent part is sum_j d_j y^(-j) with
     d_(ell+1-i) = E_i / c.  Both kinds of field compute E exactly on the
-    jets kernel; black-box coefficients enter through Fraction(float),
-    which is exact.  Only the remainder evaluator differs between them.
+    jets kernel from the coefficients c_(ell+1).. of the field's exact jet
+    (its float leading term alone when it has no jet), and round each d_j
+    once.  Only the remainder evaluator differs between them, as
+    ``polynomial`` says.
 
     The remainder r is integrated in s = log y, as r(y) y ds.  For an exact
     polynomial r is bounded; a black-box remainder is only O(1/y), since a
     field computed pointwise (a fixed-depth Szekeres field is the pullback
-    of f - id by f^n) carries a residue that its tail coefficients do not
-    give.  In s both integrands are bounded, so the adaptive rule does not
-    subdivide the decades between x and x0.  The integration runs in
+    of f - id by f^n) carries a residue that its jet does not give.  In s
+    both integrands are bounded, so the adaptive rule does not subdivide
+    the decades between x and x0.  The integration runs in
     s = log(y / top), top = max(x0, x), so that no node exceeds top.
 
     ``zero`` is the least float at or past the first zero of an exact
@@ -304,39 +326,43 @@ class _TauScheme:
 
     def __init__(self, field: NumericField):
         ell = field.ell
-        coeffs = field.poly or tuple(map(Fraction, (field.leading,) + field.tail))
+        coeffs = [Fraction(field.leading)] if field.jet is None else field.jet.dense(field.jet.order)[ell + 1 :]
         c = coeffs[0]
         s = [ci / c for ci in coeffs]  # S, s_0 = 1
         e = jets._recip(s, ell)
-        self.d = {ell + 1 - i: float(ei / c) for i, ei in enumerate(e)}
         # black-box evaluators (no exact polynomial) carry float noise that
         # the quadrature cannot resolve below ~1e-11
-        self.epsabs = 1e-13 if field.poly else 1e-11
-        self.epsrel = 1e-12 if field.poly else 1e-9
-        self.zero = _first_zero(s, field.x_max) if field.poly else math.inf
-        if field.poly:
-            # U = 1 - E*S vanishes through degree ell exactly; T = U / y^{ell+1}
-            u = [-v for v in jets._mul(e, s, ell + len(s) - 1)]
-            u[0] += 1
-            assert all(ui == 0 for ui in u[: ell + 1])
-            num = _horner([float(ui) for ui in u[ell + 1 :]])
-            den = _horner([float(si) for si in s])
+        self.epsabs = 1e-13 if field.polynomial else 1e-11
+        self.epsrel = 1e-12 if field.polynomial else 1e-9
+        self.zero = _first_zero(s, field.x_max) if field.polynomial else math.inf
+        try:
+            self.d = {ell + 1 - i: float(ei / c) for i, ei in enumerate(e)}
+            if field.polynomial:
+                # U = 1 - E*S vanishes through degree ell exactly; T = U / y^{ell+1}
+                u = [-v for v in jets._mul(e, s, ell + len(s) - 1)]
+                u[0] += 1
+                assert all(ui == 0 for ui in u[: ell + 1])
+                num = _horner([float(ui) for ui in u[ell + 1 :]])
+                den = _horner([float(si) for si in s])
 
-            def remainder(y, _c=float(c)):
-                return num(y) / (_c * den(y))
+                def remainder(y, _c=float(c)):
+                    return num(y) / (_c * den(y))
 
-        else:
-            # Laurent part P(y) = sum_j d_j y^{-j}; the remainder 1/X - P is
-            # bounded only if the evaluator's jet matches the tail through
-            # c_{2ell+1}, which a fixed-depth Szekeres field's does not
-            powers = sorted(self.d, reverse=True)
+            else:
+                # Laurent part P(y) = sum_j d_j y^{-j}; the remainder 1/X - P
+                # is bounded only if the evaluator's jet matches the field's
+                # through c_{2ell+1}, which a fixed-depth Szekeres field's does not
+                powers = sorted(self.d, reverse=True)
 
-            def remainder(y, _d=self.d, _p=tuple(powers), _f=field.func):
-                u = 1.0 / y
-                p = 0.0
-                for j in _p:
-                    p += _d[j] * u**j
-                return 1.0 / _f(y) - p
+                def remainder(y, _d=self.d, _p=tuple(powers), _f=field.func):
+                    u = 1.0 / y
+                    p = 0.0
+                    for j in _p:
+                        p += _d[j] * u**j
+                    return 1.0 / _f(y) - p
+
+        except OverflowError:
+            raise DomainError(f"{field.name}: a coefficient of the split of 1/X passes the float range") from None
 
         def integrand(s, top, _r=remainder, _exp=math.exp):
             y = top * _exp(s)
@@ -358,13 +384,6 @@ class _TauScheme:
         return acc
 
 
-def _sturm_base(s) -> list:
-    """The polynomial S (exact coefficients, ascending) times the least
-    common denominator of its coefficients: integers, descending."""
-    scale = math.lcm(*(c.denominator for c in s))
-    return [int(c * scale) for c in reversed(s)]
-
-
 def _first_zero(s, x_max: float) -> float:
     """Least float z in (0, x_max] such that the polynomial S (exact
     coefficients, ascending, S(0) = 1) vanishes somewhere in (0, z], or inf.
@@ -377,7 +396,7 @@ def _first_zero(s, x_max: float) -> float:
     """
     if len(s) < 2:
         return math.inf
-    p = _sturm_base(s)
+    p = jets._scaled(s)[0][::-1]  # S over its common denominator, descending
     seq = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
     while len(seq[-1]) > 1:
         r, b = list(seq[-2]), seq[-1]

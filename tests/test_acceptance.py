@@ -58,9 +58,11 @@ from germres import (
     ramified_push,
     reduce_germ,
     resad,
+    schwarzian_at_origin,
     szekeres_field,
 )
 from helpers import (
+    from_sympy,
     rand_fraction,
     rand_int_parabolic,
     rand_positive_jet,
@@ -69,6 +71,8 @@ from helpers import (
     sympy_compose,
     sympy_invert,
     sympy_resit,
+    sympy_truncate,
+    to_sympy,
 )
 
 
@@ -385,6 +389,58 @@ def test_criterion_14_conjugacy_construction():
             worst = max(worst, abs(lhs - rhs))
     ok = worst < 1e-7
     assert _line(14, "canonical conjugacy intertwines the flows", ok, f"worst dev {worst:.2e}")
+
+
+def _sympy_time_one(field, order):
+    """The Lie series sum_k L_X^k(x)/k! mod x^(order+1) of a field X given
+    as a sympy polynomial of order >= 2, by sympy alone."""
+    x = sp.symbols("x")
+    term = total = x
+    for k in range(1, order + 1):
+        term = sympy_truncate(field * sp.diff(term, x) / k, order)
+        total += term
+    return from_sympy(total, order)
+
+
+def test_criterion_15_schwarzian_moves_under_c1_conjugacy():
+    # the abstract's headline at l = 1: the Schwarzian at 0 takes any value
+    # along g_b, the time-1 map of -x^2 + b x^3, while g_0 and g_{-1} are
+    # conjugate by a C^1 parabolic h; only the l = 1 half is checked here
+    t0 = time.perf_counter()
+    x = sp.symbols("x")
+    r = rng(115)
+    for _ in range(50):
+        b = rand_fraction(r)
+        g = field_to_germ(FieldJet.of(-1, b), 1)
+        assert g == _sympy_time_one(-(x**2) + sp.Rational(b.numerator, b.denominator) * x**3, 3)
+        d2, d3 = (sp.diff(to_sympy(g), x, k).subs(x, 0) for k in (2, 3))
+        # the package's sign convention, as in criterion 9
+        assert schwarzian_at_origin(g) == -6 * b == F(str(sp.Rational(3, 2) * d2**2 - d3))
+        assert _resit(g) == -b == sympy_resit(list(g.coeffs))
+
+    # numerically: h from -x^2 (S = 0) to -x^2 - x^3 (S = 6) conjugates the
+    # time-1 maps, f = x/(1+x) in closed form and g by solve_ivp, with Dh -> 1
+    X, Y = catalog_field("neg_x2"), catalog_field("neg_x2_x3")
+    assert [schwarzian_at_origin(field_to_germ(Z.jet.pad(3), 1)) for Z in (X, Y)] == [0, 6]
+    h = canonical_conjugacy(X, Y, 0.1)
+    worst, slopes = 0.0, []
+    for k in range(2, 7):
+        x0 = 10.0**-k
+        hx = h(x0)
+        sol = solve_ivp(lambda t, z: -z**2 - z**3, (0.0, 1.0), [hx], method="DOP853", rtol=1e-13, atol=1e-30)
+        g_hx = sol.y[0][-1]
+        worst = max(worst, abs(h(x0 / (1 + x0)) - g_hx) / x0)
+        dh, step = h.deriv(x0), 1e-4 * x0
+        assert abs((h(x0 + step) - h(x0 - step)) / (2 * step) - dh) <= 1e-6
+        slopes.append((dh - 1) / (x0 * math.log(1 / x0)))
+    # Dh - 1 ~ c x log(1/x): h is C^1 with Dh(0) = 1, and not C^2 (its /x^2
+    # ratio grows, criterion 13), as it cannot be: S(g_0) != S(g_-1), and a
+    # C^2 parabolic conjugacy keeps S
+    elapsed = time.perf_counter() - t0
+    ok = worst <= 1e-12 and all(-2.0 < v < -0.5 for v in slopes) and elapsed < 10.0
+    assert _line(15, "Schwarzian moves under a C^1 parabolic conjugacy (l = 1)", ok,
+                 f"|h f - g h|/x <= {worst:.1e}, (Dh-1)/(x log(1/x)) {slopes[0]:.2f}..{slopes[-1]:.2f}, "
+                 f"{elapsed:.2f}s")
 
 
 if __name__ == "__main__":

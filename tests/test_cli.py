@@ -466,6 +466,21 @@ def test_conjugate_across_a_zero_of_the_field_is_refused(capsys):
     assert strict_json(out)["result"]["samples"][0][0] == 0.003
 
 
+def test_a_field_whose_split_passes_the_float_range_is_a_domain_error(capsys):
+    # poly:0,0,-1,-2^400 fits the bit bound, but its Laurent coefficients
+    # reach 2^1200; this printed an OverflowError traceback
+    X = f"poly:0,0,-1,-{2**400}"
+    for argv in (
+        ["diagnose", "--X", X, "--Y", "poly:0,0,-1", "--grid", "0.05,0.02"],
+        ["conjugate", "--X", X, "--Y", "poly:0,0,-1", "--x0", "0.05", "--grid", "0.02"],
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert strict_error_code(out) == "DomainError"
+        assert json.loads(out)["error"]["message"].startswith(X)
+    proc = run_cli_process(argv)
+    assert (proc.returncode, strict_error_code(proc.stdout), proc.stderr) == (1, "DomainError", "")
+
 def test_oversized_poly_fields_are_refused_quickly():
     # the Sturm search for a field's first zero grows steeply with degree and
     # coefficient size; 64 terms of 30-digit rationals ran for minutes

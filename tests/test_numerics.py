@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from germres import (
+    FieldJet,
     GermSpec,
     Jet,
     canonical_conjugacy,
@@ -111,8 +112,8 @@ def test_tau_against_high_precision_quadrature():
     mpmath.mp.dps = 40
     # an ell = 3 polynomial field; -y^4 (1 - y/2 + y^2/3) has no zero for y > 0
     ell3 = field_from_coeffs("ell3", {4: -1, 5: F(1, 2), 6: F(-1, 3)})
-    # a black-box field whose tail is complete through c_{2 ell + 1}
-    black_box = NumericField(name="bb", func=lambda y: -(y**2) - y**3, ell=1, leading=-1.0, tail=(-1.0,))
+    # a black-box field whose jet is complete through c_{2 ell + 1}
+    black_box = NumericField(name="bb", func=lambda y: -(y**2) - y**3, ell=1, leading=-1.0, jet=FieldJet.of(-1, -1))
     cases = [
         (catalog_field("neg_x2_x3"), lambda y: 1 / (-(y**2) - y**3), 1e-12, (0.4, 0.01), (0.3, 1e-4)),
         (catalog_field("neg_x3"), lambda y: -1 / y**3, 1e-12, (0.5, 0.02), (0.3, 1e-3)),
@@ -130,7 +131,7 @@ def test_tau_against_high_precision_quadrature():
 
 
 def test_tau_split_built_once_per_field():
-    X = NumericField(name="bb", func=lambda y: -(y**2) - y**3, ell=1, leading=-1.0, tail=(-1.0,))
+    X = NumericField(name="bb", func=lambda y: -(y**2) - y**3, ell=1, leading=-1.0, jet=FieldJet.of(-1, -1))
     split = X._tau_scheme
     assert split.d == {2: -1.0, 1: 1.0}  # 1/X = -1/y^2 + 1/y - 1 + ...
     tau(X, 0.4, 0.01)
@@ -968,3 +969,67 @@ def test_field_from_jet_round_trip():
     assert nf.ell == 1
     assert nf.leading == -1.0
     assert abs(nf.func(0.1) - (-0.01 - 0.001)) < 1e-15
+
+
+def test_a_szekeres_field_carries_its_exact_generating_jet():
+    from germres.catalog import germ_from_jet
+
+    for germ in (moebius(), quadratic(), ramified_flow(3, F(2, 3)), germ_from_jet(Jet.of(1, F(-1, 3), F(1, 5)))):
+        X = szekeres_numeric_field(germ, 10)
+        assert X.jet == germ_to_field(germ.jet_fn(2 * germ.ell + 1))
+        assert not X.polynomial and X.ell == germ.ell and X.leading == float(X.jet[germ.ell + 1])
+    # without an exact germ jet the field's jet is its leading term, which
+    # only tames the quadrature: tau still integrates the same evaluator
+    X = szekeres_numeric_field(quadratic(), 10)
+    Y = szekeres_numeric_field(dataclasses.replace(quadratic(), jet_fn=None), 10)
+    assert Y.jet == FieldJet.of(-1) and Y._tau_scheme.d == {2: -1.0, 1: 0.0} != X._tau_scheme.d
+    ref = tau(X, 0.1, 1e-3)
+    assert abs(tau(Y, 0.1, 1e-3) - ref) <= 1e-9 * abs(ref)
+
+
+def test_split_of_a_non_dyadic_generator_jet_is_correctly_rounded():
+    # x - x^2/3 + x^3/5 has the field -x^2/3 - 4/15 x^3 + ...: 1/X =
+    # -3/y^2 - 4/5 / y + ..., where rounding the jet to floats first gave
+    # d_1 = -0.8000000000000002
+    from germres.catalog import germ_from_jet
+
+    jet = Jet.of(1, F(-1, 3), F(1, 5))
+    X = szekeres_numeric_field(germ_from_jet(jet, x_max=0.3), 10)
+    c2, c3 = germ_to_field(jet).coeffs
+    assert X._tau_scheme.d == {2: float(1 / c2), 1: float(-c3 / c2**2)} == {2: -3.0, 1: -0.8}
+
+
+def test_a_replaced_evaluator_keeps_a_polynomial_split():
+    # the perfbench tracer counts evaluations this way; the field stays
+    # polynomial: exact remainder, Sturm zero, tight tolerances
+    X = field_from_coeffs("z", {2: F(-4, 7), 3: 9})  # vanishes at 4/63
+    Y = dataclasses.replace(X, func=lambda y: X.func(y))
+    assert Y.polynomial and Y.jet == X.jet
+    split = Y._tau_scheme
+    assert split.zero == X._tau_scheme.zero and F(4, 63) <= F(split.zero) < 0.0635
+    assert (split.epsabs, split.epsrel) == (1e-13, 1e-12)
+    assert tau(Y, 0.06, 0.003) == tau(X, 0.06, 0.003)
+    with pytest.raises(DomainError, match="vanishes"):
+        tau(Y, 0.15, 0.003)
+
+
+def test_field_from_jet_with_an_evaluator_splits_by_the_given_jet():
+    def func(y):
+        return -(y**2) - y**3
+
+    X = field_from_jet(FieldJet.of(-1, -1), "bb", func=func)
+    assert (X.func, X.ell, X.leading, X.jet, X.polynomial) == (func, 1, -1.0, FieldJet.of(-1, -1), False)
+    split = X._tau_scheme
+    assert split.d == {2: -1.0, 1: 1.0} and split.zero == math.inf and split.epsabs == 1e-11
+    ref = 1 / 0.01 - 1 / 0.4 + math.log(0.01 / 0.4 * (1 + 0.4) / (1 + 0.01))
+    assert abs(tau(X, 0.4, 0.01) - ref) <= 1e-9 * abs(ref)
+    # a jet with another residue gives another Laurent part for the same evaluator
+    assert field_from_jet(FieldJet.of(-1, 0), "bb", func=func)._tau_scheme.d == {2: -1.0, 1: 0.0}
+
+
+def test_a_split_past_the_float_range_is_a_domain_error():
+    # the coefficients fit in the bit and float bounds, but E_3 = -(2^400)^3
+    # of 1/S does not fit in a float
+    X = field_from_coeffs("big", {4: -1, 5: -(2**400)})
+    with pytest.raises(DomainError, match="big: .*float range"):
+        tau(X, 0.05, 0.02)

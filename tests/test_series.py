@@ -13,8 +13,6 @@ from germres.jets import (
     NotInvertible,
     field_from_dict,
     field_from_json,
-    field_to_dict,
-    field_to_json,
     jet_from_dict,
     jet_from_json,
     jet_to_dict,
@@ -64,7 +62,7 @@ SERIES = [
 
 def _codec(s):
     if isinstance(s, FieldJet):
-        return field_to_dict, field_from_dict, field_to_json, field_from_json
+        return jet_to_dict, field_from_dict, jet_to_json, field_from_json
     return jet_to_dict, jet_from_dict, jet_to_json, jet_from_json
 
 
