@@ -1,6 +1,6 @@
 """Layer benchmarks of the time coordinate ``tau``, the time map
-``flow_map`` and the fixed-depth Szekeres loop that the Szekeres fields
-evaluate at every quadrature node.
+``flow_map``, and the fixed-depth Szekeres kernel that the Szekeres fields
+evaluate at every quadrature node, alone and through ``szekeres_field``.
 
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-disable   # smoke run
@@ -17,6 +17,8 @@ from germres.catalog import szekeres_numeric_field
 FIELDS = {
     "neg_x2_x3": lambda: catalog.catalog_field("neg_x2_x3"),
     "szekeres_moebius_100": lambda: szekeres_numeric_field(catalog.moebius(), 100),
+    # the depth that holds the median request of the szekeres-conjugacy workload
+    "szekeres_moebius_10": lambda: szekeres_numeric_field(catalog.moebius(), 10),
 }
 
 
@@ -37,7 +39,17 @@ def test_flow_map_toward_zero(benchmark):
 
 
 def test_szekeres_field_fixed_depth(benchmark):
-    """One evaluation of the depth-100 Szekeres field of moebius (tol=0)."""
+    """One evaluation of the depth-100 Szekeres field of moebius (tol=0),
+    through szekeres_field: its checks, the kernel's and a SzekeresResult."""
     germ = catalog.moebius()
     result = benchmark(numerics.szekeres_field, germ, 0.05, n_max=100, tol=0)
     assert result.iterations == 100 and not result.converged
+
+
+@pytest.mark.parametrize("depth", [10, 100])
+def test_szekeres_kernel(benchmark, depth):
+    """One evaluation of the depth-n Szekeres kernel of moebius, as a
+    Szekeres field calls it at each quadrature node."""
+    evaluate = numerics._szekeres_kernel(catalog.moebius(), depth)
+    value = benchmark(evaluate, 0.05)
+    assert value < 0

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .jets import CoefficientError, FieldJet, Jet, OrderError, read_rational
 from .normal_form import tangency_order
-from .numerics import DomainError, GermSpec, NumericField, _codegen, _horner, szekeres_field
+from .numerics import DomainError, GermSpec, NumericField, _codegen, _horner, _szekeres_kernel
 from .numerics import field_from_coeffs, field_from_jet
 
 
@@ -256,19 +256,17 @@ def szekeres_numeric_field(germ: GermSpec, n: int = 10_000) -> NumericField:
     fixed-depth Szekeres iteration (fixed n keeps the evaluator smooth in
     x, which the quadrature relies on); its jet is the generating field of
     the germ's exact (2 ell + 1)-jet, or without one its leading term.  The
-    depth ``n`` must be at least 1."""
+    germ must be contracting and the depth ``n`` from 1 to MAX_ORBIT_STEPS;
+    both are checked here, before any evaluation."""
     if n < 1:
         raise DomainError(f"the Szekeres depth n must be at least 1, not {n}")
+    func = _szekeres_kernel(germ, n)
     if germ.jet_fn is None:
         X = FieldJet.from_dense([0] * (germ.ell + 1) + [-Fraction(germ.a)])
     else:
         from .flows import germ_to_field
 
         X = germ_to_field(germ.jet_fn(2 * germ.ell + 1))
-
-    def func(x):
-        return szekeres_field(germ, x, n_max=n, tol=0.0).value
-
     return field_from_jet(X, f"szekeres[{germ.name}]", germ.x_max, func)
 
 

@@ -36,6 +36,7 @@ from .jets import (
     Jet,
     OrderError,
     _conv,
+    _max_printable_bits,
     _reduced,
     _refuse_unprintable,
     _scaled,
@@ -141,6 +142,7 @@ def field_to_germ(X: FieldJet, t) -> Jet:
     V, dv, _ = _scaled(X.dense(K))
     T, dt = [0, 1] + [0] * (K - 1), 1  # term T / dt, starting at x
     out, dout = T, 1  # running sum out / dout
+    max_bits = _max_printable_bits()
     for k in count(1):
         # t/k L_X term = t/k X term'
         product = _conv(V, [n * T[n] for n in range(1, K + 1)], K)
@@ -150,7 +152,13 @@ def field_to_germ(X: FieldJet, t) -> Jet:
         den = lcm(dout, dt)
         up, step = den // dout, den // dt
         out, dout = [a * up + b * step for a, b in zip(out, T)], den
-    return Jet.from_dense(_unscaled(out, dout, False))
+        # later terms start at degree k + 2, so the coefficient of degree
+        # k + 1 is final: one that cannot be printed is refused now
+        if k < K and max(abs(out[k + 1]), dout).bit_length() > max_bits:
+            _refuse_unprintable([Fraction(out[k + 1], dout)], "jet")
+    g = Jet.from_dense(_unscaled(out, dout, False))
+    _refuse_unprintable(g.coeffs[k:], "jet")  # degrees k + 1 .. K, final too
+    return g
 
 
 def ramified_push(f: Jet, ell: int) -> Jet:

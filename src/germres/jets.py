@@ -76,10 +76,15 @@ def _unprintable(what):
     return CoefficientError(f"{what}: a coefficient passes {_int_digit_limit()} digits, the most an integer may print")
 
 
+def _max_printable_bits():
+    """Bit length past which an integer certainly passes the digit limit."""
+    return int(_int_digit_limit() / log10(2)) + 1
+
+
 def _refuse_unprintable(coeffs, what):
     """CoefficientError once a coefficient passes the int-to-str digit limit:
     it cannot be printed, and squaring it on would only take longer."""
-    max_bits = int(_int_digit_limit() / log10(2)) + 1
+    max_bits = _max_printable_bits()
     for c in coeffs:
         if max(abs(c.numerator), c.denominator).bit_length() > max_bits:
             raise _unprintable(what)

@@ -3,7 +3,9 @@
 The operations here are the numeric counterparts of the exact jet algebra:
 
 * ``szekeres_field`` -- the iterative limit (f^{n+1}(x) - f^n(x)) / Df^n(x)
-  recovering the generating vector field of a contracting germ;
+  recovering the generating vector field of a contracting germ; at a fixed
+  depth n it is ``_szekeres_kernel(germ, n)``, the evaluator of the
+  catalog's Szekeres fields, built and checked once per (germ, n);
 * ``tau`` / ``flow_map`` -- the time coordinate tau(x) = int_{x0}^x dy/X(y)
   and its inverse, giving f^t(x0) for a nonvanishing field;
 * ``canonical_conjugacy`` -- h = tau_Y^{-1} o tau_X, the conjugacy between
@@ -30,7 +32,10 @@ jet and an evaluator.  The split is computed exactly from that jet on the
 jets kernel, once per field, on first use, and kept on the field itself
 (``NumericField._tau_scheme``); each Laurent coefficient is rounded once.
 For a polynomial field (``NumericField.polynomial``) the remainder is
-assembled exactly too, without any cancellation at all.
+assembled exactly too, without any cancellation at all.  The quadrature
+integrand and the Laurent antiderivative of a split are each one function
+generated by ``_codegen``, once per shape of split, so a quadrature node is
+one call (and one call of the field's evaluator for a black-box field).
 
 The quadrature of tau and the root search of flow_map are the package's
 own ports of QUADPACK's dqagse and of Brent's method (``germres._solvers``).
@@ -72,9 +77,12 @@ MAX_CONTOUR_POINTS = 1 << 20
 # orbit loops run in Python; per step, on a 2-vCPU Xeon VM with Python 3.11,
 # the estimate_resit loop takes ~0.08 us on `quadratic`, ~0.19 us on a
 # germ_from_jet polynomial, ~0.21 us on an --expr germ and ~0.29 us on an
-# increment it has to call, and the szekeres_field loop ~0.23 us (tol = 0)
-# to ~0.33 us.  So this many steps take 1-3.3 s; longer orbits are refused
-# before the loop starts
+# increment it has to call; the fixed-depth Szekeres kernel takes ~0.14 us
+# on `quadratic`, ~0.21 us on `moebius`, ~0.27 us on a germ_from_jet
+# polynomial and ~0.42 us on `ramified_flow(2, 1)` (an exp and a log1p per
+# derivative), and the converging szekeres_field loop (tol > 0) ~0.06 us
+# more.  So this many steps take 1-5 s; longer orbits are refused before
+# the loop starts
 MAX_ORBIT_STEPS = 10**7
 
 # an exact polynomial field's first zero is found by a Sturm search over the
@@ -238,15 +246,22 @@ def _horner(coeffs, power=0):
     return _horner_factory(len(coeffs), power)(*coeffs)[0]
 
 
+def _horner_lines(acc, x, names):
+    """Lines that leave sum_i names[i] * x^i in ``acc`` by Horner's rule,
+    starting from 0.0 * x + names[-1] (0.0 with no names)."""
+    if not names:
+        return [f"{acc} = 0.0"]
+    return [f"{acc} = 0.0 * {x} + {names[-1]}", *(f"{acc} = {acc} * {x} + {c}" for c in reversed(names[:-1]))]
+
+
 @lru_cache(maxsize=64)
 def _horner_factory(n, power):
     """Function (c_0, .., c_(n-1)) -> (evaluator,), generated once per
     number of coefficients and power; the coefficients become closure
     cells, so no value passes through source text."""
-    lines = [f"acc = 0.0 * x + c{n - 1}" if n else "acc = 0.0"]
-    lines += [f"acc = acc * x + c{i}" for i in range(n - 2, -1, -1)]
+    names = [f"c{i}" for i in range(n)]
     result = f"acc * x**{int(power)}" if power else "acc"
-    return _codegen([("poly", lines, result)], [f"c{i}" for i in range(n)], filename="<germres polynomial>")
+    return _codegen([("poly", _horner_lines("acc", "x", names), result)], names, filename="<germres polynomial>")
 
 
 def _check_span(name, m, top):
@@ -308,8 +323,10 @@ class _TauScheme:
     d_(ell+1-i) = E_i / c.  Both kinds of field compute E exactly on the
     jets kernel from the coefficients c_(ell+1).. of the field's exact jet
     (its float leading term alone when it has no jet), and round each d_j
-    once.  Only the remainder evaluator differs between them, as
-    ``polynomial`` says.
+    once.  Only the remainder differs between them, as ``polynomial``
+    says: a polynomial field's is the exact quotient T / (c S), T = (1 -
+    E S) / y^(ell+1), in two Horner forms; any other's is 1/func(y) less
+    the Laurent part.
 
     The remainder r is integrated in s = log y, as r(y) y ds.  For an exact
     polynomial r is bounded; a black-box remainder is only O(1/y), since a
@@ -318,6 +335,11 @@ class _TauScheme:
     both integrands are bounded, so the adaptive rule does not subdivide
     the decades between x and x0.  The integration runs in
     s = log(y / top), top = max(x0, x), so that no node exceeds top.
+
+    ``integrand(s, top)`` and the Laurent antiderivative are each one
+    function generated by ``_codegen`` (once per shape of split, the
+    coefficients and ``func`` bound as closure cells), so a quadrature node
+    costs one call, plus the call of ``func`` for a black-box field.
 
     ``zero`` is the least float at or past the first zero of an exact
     polynomial field in (0, x_max] (inf if it has none, and for black-box
@@ -337,51 +359,69 @@ class _TauScheme:
         self.zero = _first_zero(s, field.x_max) if field.polynomial else math.inf
         try:
             self.d = {ell + 1 - i: float(ei / c) for i, ei in enumerate(e)}
+            powers = tuple(self.d)  # ell + 1 down to 1
+            self._laurent, = _laurent_factory(powers)(*self.d.values())
             if field.polynomial:
                 # U = 1 - E*S vanishes through degree ell exactly; T = U / y^{ell+1}
                 u = [-v for v in jets._mul(e, s, ell + len(s) - 1)]
                 u[0] += 1
                 assert all(ui == 0 for ui in u[: ell + 1])
-                num = _horner([float(ui) for ui in u[ell + 1 :]])
-                den = _horner([float(si) for si in s])
-
-                def remainder(y, _c=float(c)):
-                    return num(y) / (_c * den(y))
-
+                num = [float(ui) for ui in u[ell + 1 :]]
+                den = [float(si) for si in s]
+                self.integrand, = _polynomial_integrand_factory(len(num), len(den))(float(c), *num, *den)
             else:
-                # Laurent part P(y) = sum_j d_j y^{-j}; the remainder 1/X - P
-                # is bounded only if the evaluator's jet matches the field's
-                # through c_{2ell+1}, which a fixed-depth Szekeres field's does not
-                powers = sorted(self.d, reverse=True)
-
-                def remainder(y, _d=self.d, _p=tuple(powers), _f=field.func):
-                    u = 1.0 / y
-                    p = 0.0
-                    for j in _p:
-                        p += _d[j] * u**j
-                    return 1.0 / _f(y) - p
-
+                # the remainder is bounded only if the evaluator's jet matches
+                # the field's through c_{2ell+1}, which a fixed-depth Szekeres
+                # field's does not
+                self.integrand, = _black_box_integrand_factory(powers)(field.func, *self.d.values())
         except OverflowError:
             raise DomainError(f"{field.name}: a coefficient of the split of 1/X passes the float range") from None
 
-        def integrand(s, top, _r=remainder, _exp=math.exp):
-            y = top * _exp(s)
-            return _r(y) * y
-
-        self.integrand = integrand
-
     def antiderivative(self, y: float) -> float:
         """Closed-form integral of the Laurent part."""
-        acc = 0.0
         try:
-            for j, dj in self.d.items():
-                if j == 1:
-                    acc += dj * math.log(y)
-                else:
-                    acc += dj * y ** (1 - j) / (1 - j)
+            return self._laurent(y)
         except OverflowError:
             raise DomainError(f"the time coordinate at {y!r} passes the float range") from None
-        return acc
+
+
+# the generated pieces of a split: the lines keep the float operations of
+# the closure form in tests/helpers.py (ReferenceTauScheme) and their order,
+# which the tests compare with bit for bit
+
+
+@lru_cache(maxsize=64)
+def _laurent_factory(powers):
+    """Factory (*d) -> (antiderivative,): y -> sum_j d_j y^(1-j)/(1-j), with
+    d_1 log y for j = 1, summed from 0.0 in the order of ``powers``."""
+    lines = ["acc = 0.0"]
+    lines += [f"acc = acc + d{j} * _log(y)" if j == 1 else f"acc = acc + d{j} * y ** ({1 - j}) / ({1 - j})" for j in powers]
+    params = [f"d{j}" for j in powers]
+    return _codegen([("antiderivative", lines, "acc")], params, [("_log", math.log)], args="y", filename="<germres laurent>")
+
+
+@lru_cache(maxsize=64)
+def _polynomial_integrand_factory(n_num, n_den):
+    """Factory (c, *num, *den) -> (integrand,): (s, top) -> r(y) y at
+    y = top exp(s), where r = num(y) / (c den(y)), both by Horner's rule."""
+    nums, dens = [f"t{i}" for i in range(n_num)], [f"s{i}" for i in range(n_den)]
+    lines = ["y = top * _exp(s)", *_horner_lines("num", "y", nums), *_horner_lines("den", "y", dens)]
+    return _codegen(
+        [("integrand", lines, "num / (c * den) * y")], ["c", *nums, *dens], [("_exp", math.exp)],
+        args="s, top", filename="<germres integrand>",
+    )
+
+
+@lru_cache(maxsize=64)
+def _black_box_integrand_factory(powers):
+    """Factory (func, *d) -> (integrand,): (s, top) -> r(y) y at
+    y = top exp(s), where r = 1/func(y) - sum_j d_j y^(-j), summed from 0.0
+    in the order of ``powers``."""
+    lines = ["y = top * _exp(s)", "u = 1.0 / y", "p = 0.0", *(f"p = p + d{j} * u**{j}" for j in powers)]
+    return _codegen(
+        [("integrand", lines, "(1.0 / func(y) - p) * y")], ["func", *(f"d{j}" for j in powers)], [("_exp", math.exp)],
+        args="s, top", filename="<germres integrand>",
+    )
 
 
 def _first_zero(s, x_max: float) -> float:
@@ -609,41 +649,70 @@ def szekeres_field(germ: GermSpec, x: float, n_max: int = 100_000, tol: float = 
     The derivative of the n-th iterate is accumulated as a running product
     of Df along the orbit.  Stops when successive values differ by less
     than ``tol``; otherwise returns the n_max value with converged=False.
-    With ``tol`` not positive nothing can converge, so the loop carries
-    only the orbit point and the product, and the value is divided once,
-    from the last step (the fixed-depth evaluator of
-    ``catalog.szekeres_numeric_field`` runs this way).  A non-finite
-    ``tol`` is refused.
+    With ``tol`` not positive nothing can converge, and the fixed-depth
+    evaluator ``_szekeres_kernel(germ, n_max)`` gives the value.  A
+    non-finite ``tol`` is refused.
     """
-    if not germ.is_contracting():
-        raise DomainError(f"{germ.name}: szekeres_field needs a contracting germ")
+    _check_szekeres(germ, n_max)
     germ.check_point(x)
-    if n_max < 0:
-        raise DomainError(f"n_max must be at least 0, not {n_max}")
-    if n_max > MAX_ORBIT_STEPS:
-        raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {n_max}")
     if not math.isfinite(tol):
         raise DomainError(f"tol must be finite, not {tol}")
+    if tol <= 0:
+        return SzekeresResult(value=_szekeres_kernel(germ, n_max)(x), iterations=n_max, converged=False)
     increment, deriv = germ.increment, germ.deriv
-    watch = tol > 0
-    product = last = 1.0
-    prev = step = None
+    product, value = 1.0, None
     for n in range(n_max):
         step = increment(x)
-        if watch:
-            value = step / product
-            if prev is not None and abs(value - prev) < tol:
-                return SzekeresResult(value=value, iterations=n, converged=True)
-            prev = value
-        last = product
+        prev, value = value, step / product
+        if prev is not None and abs(value - prev) < tol:
+            return SzekeresResult(value=value, iterations=n, converged=True)
         product *= deriv(x)
         if not (1e-280 < abs(product) < 1e280):
-            raise ProductUnderflow(
-                f"derivative product left the floating range at n={n} (|P|={abs(product):.3e})"
-            )
+            raise _product_left_range(n, product)
         x = x + step
-    value = None if step is None else step / last
     return SzekeresResult(value=value, iterations=n_max, converged=False)
+
+
+def _check_szekeres(germ, n):
+    if not germ.is_contracting():
+        raise DomainError(f"{germ.name}: szekeres_field needs a contracting germ")
+    if n < 0:
+        raise DomainError(f"n_max must be at least 0, not {n}")
+    if n > MAX_ORBIT_STEPS:
+        raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {n}")
+
+
+def _product_left_range(n, product):
+    return ProductUnderflow(f"derivative product left the floating range at n={n} (|P|={abs(product):.3e})")
+
+
+def _szekeres_kernel(germ: GermSpec, n: int) -> Callable[[float], Optional[float]]:
+    """The depth-n Szekeres field of a contracting germ, as the evaluator
+    x -> (f^n(x) - f^(n-1)(x)) / Df^(n-1)(x) (None at n = 0).
+
+    The germ and the depth are checked here, once; an evaluation checks
+    only its point, then runs n steps that carry the orbit point and the
+    derivative product, calling ``germ.increment`` and ``germ.deriv`` once
+    each per step, and divides once, after the last step.
+    """
+    _check_szekeres(germ, n)
+    check, increment, deriv, steps = germ.check_point, germ.increment, germ.deriv, range(n)
+
+    def szekeres(x, _abs=abs):
+        check(x)
+        product = last = 1.0
+        step = None
+        for k in steps:
+            step = increment(x)
+            last = product
+            product *= deriv(x)
+            # abs() is called only for a product outside the positive range
+            if not (1e-280 < product < 1e280) and not (1e-280 < _abs(product) < 1e280):
+                raise _product_left_range(k, product)
+            x = x + step
+        return None if step is None else step / last
+
+    return szekeres
 
 
 # ---------------------------------------------------------------------------

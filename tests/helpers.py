@@ -273,6 +273,96 @@ def reference_szekeres(germ, x, n_max=100_000, tol=1e-12):
     return SzekeresResult(value=value, iterations=n_max, converged=False)
 
 
+def reference_szekeres_evaluator(germ, n):
+    """The fixed-depth Szekeres field as first evaluated: one call of the
+    reference loop per point, read back from its SzekeresResult."""
+
+    def func(x):
+        return reference_szekeres(germ, x, n, 0.0).value
+
+    return func
+
+
+# -- the split of tau as first written ------------------------------------------
+
+
+class ReferenceTauScheme:
+    """tau's split of 1/X with its remainder, quadrature integrand and
+    Laurent antiderivative as nested closures and loops over the Laurent
+    powers; the package's generated functions must give the same floats."""
+
+    def __init__(self, field):
+        import math
+
+        from germres import jets
+        from germres.numerics import DomainError, _first_zero
+
+        ell = field.ell
+        coeffs = [Fraction(field.leading)] if field.jet is None else field.jet.dense(field.jet.order)[ell + 1 :]
+        c = coeffs[0]
+        s = [ci / c for ci in coeffs]
+        e = jets._recip(s, ell)
+        self.epsabs = 1e-13 if field.polynomial else 1e-11
+        self.epsrel = 1e-12 if field.polynomial else 1e-9
+        self.zero = _first_zero(s, field.x_max) if field.polynomial else math.inf
+        try:
+            self.d = {ell + 1 - i: float(ei / c) for i, ei in enumerate(e)}
+            if field.polynomial:
+                u = [-v for v in jets._mul(e, s, ell + len(s) - 1)]
+                u[0] += 1
+                assert all(ui == 0 for ui in u[: ell + 1])
+                num = reference_horner([float(ui) for ui in u[ell + 1 :]])
+                den = reference_horner([float(si) for si in s])
+
+                def remainder(y, _c=float(c)):
+                    return num(y) / (_c * den(y))
+
+            else:
+                powers = sorted(self.d, reverse=True)
+
+                def remainder(y, _d=self.d, _p=tuple(powers), _f=field.func):
+                    u = 1.0 / y
+                    p = 0.0
+                    for j in _p:
+                        p += _d[j] * u**j
+                    return 1.0 / _f(y) - p
+
+        except OverflowError:
+            raise DomainError(f"{field.name}: a coefficient of the split of 1/X passes the float range") from None
+
+        def integrand(s, top, _r=remainder, _exp=math.exp):
+            y = top * _exp(s)
+            return _r(y) * y
+
+        self.integrand = integrand
+
+    def antiderivative(self, y):
+        import math
+
+        from germres.numerics import DomainError
+
+        acc = 0.0
+        try:
+            for j, dj in self.d.items():
+                if j == 1:
+                    acc += dj * math.log(y)
+                else:
+                    acc += dj * y ** (1 - j) / (1 - j)
+        except OverflowError:
+            raise DomainError(f"the time coordinate at {y!r} passes the float range") from None
+        return acc
+
+
+def with_reference_split(field, func=None):
+    """A copy of ``field`` (evaluated by ``func`` if given) whose tau split is
+    the ReferenceTauScheme, put where the package caches its own split."""
+    import dataclasses
+
+    copy = dataclasses.replace(field) if func is None else dataclasses.replace(field, func=func)
+    copy.__dict__["_tau_scheme"] = ReferenceTauScheme(copy)
+    return copy
+
+
 # -- the time map's bracket as first written ----------------------------------
 
 

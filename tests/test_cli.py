@@ -545,6 +545,14 @@ def test_huge_rational_literals_are_refused_quickly():
         assert_quick_strict_error(argv, "CoefficientError")
 
 
+def test_an_unprintable_time_t_map_is_refused_quickly():
+    # the coefficient of degree 3 has ~8400 digits and is final after two
+    # terms of the Lie series; the other 46 terms took ~33 s to build
+    coeffs = [str((-1) ** k * (1 + (7 * k) % 9)) for k in range(48)]
+    doc = json.dumps({"kind": "field", "order": 49, "coeffs": coeffs})
+    assert_quick_strict_error(["exp", "--field", doc, "--time", "1/" + "9" * 4200], "CoefficientError")
+
+
 def test_contour_coefficient_past_the_float_range_is_an_error():
     assert_quick_strict_error(["contour", "--poly", "1,1e400", "--radius", "0.1"], "CoefficientError")
     assert_quick_strict_error(

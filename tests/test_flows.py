@@ -317,3 +317,33 @@ def test_formal_log_at_order_K_is_inverted_by_the_lie_series(K):
     # 8-tangent jet at K = 33 and ~5 s on a 1-tangent one
     for f in jets[2:] if K == 17 else jets[-1:]:
         assert _formal_log(f, K) == reference_germ_to_field(f, K)
+
+
+def test_field_to_germ_refuses_an_unprintable_coefficient_once_it_is_final():
+    import time
+
+    from germres.jets import CoefficientError
+
+    # every coefficient of the time-t map carries a power of t; the one of
+    # degree 3 is final after two terms of the Lie series and has ~8400
+    # digits, so the other 46 terms are never built
+    r = rng(49)
+    X = FieldJet(tuple(r.choice((-1, 1)) * r.randint(1, 9) for _ in range(48)))
+    t = F(1, int("9" * 4200))
+    start = time.perf_counter()
+    with pytest.raises(CoefficientError, match="digits, the most an integer may print"):
+        field_to_germ(X, t)
+    assert time.perf_counter() - start < 2.0
+    # an ell = 2 map is refused too: its coefficient of degree 5, 3/2 t^2,
+    # is final only once the series has ended
+    with pytest.raises(CoefficientError):
+        field_to_germ(FieldJet.of(0, -1, 0, 0), F(1, int("9" * 2500)))
+
+
+def test_field_to_germ_keeps_a_printable_map_near_the_digit_limit():
+    # x/(1 + t x) for X = -x^2: the coefficient of degree 3 is t^2, with
+    # 4000 of the 4300 digits an integer may print
+    t = F(1, int("9" * 2000))
+    X = FieldJet.of(-1, 0)
+    assert field_to_germ(X, t) == reference_field_to_germ(X, t) == Jet.of(1, -t, t * t)
+    assert field_to_germ(FieldJet.of(0, -1, 0, 0), t) == reference_field_to_germ(FieldJet.of(0, -1, 0, 0), t)

@@ -54,6 +54,8 @@ from helpers import (
     reference_flow_map,
     reference_orbit_values,
     reference_szekeres,
+    reference_szekeres_evaluator,
+    with_reference_split,
 )
 
 
@@ -196,6 +198,139 @@ def test_tau_on_a_szekeres_field_needs_few_evaluations():
     X = dataclasses.replace(base, func=counted)
     tau(X, 1e-5, 0.1)
     assert 0 < calls[0] <= 105
+
+
+# -- the generated split and the Szekeres kernel against their first forms -----
+
+
+def _szekeres_case(germ, n):
+    X = szekeres_numeric_field(germ, n)
+    return X, with_reference_split(X, reference_szekeres_evaluator(germ, n))
+
+
+def _poly_case(ell, seed):
+    # a seeded `poly:` field of the CLI: leading coefficient of size 1/4 to
+    # 9, the others in [-1, 1], so that it has no zero below 0.1
+    from germres.cli import _load_field
+
+    r = random.Random(seed)
+    parts = ["0"] * (ell - 1) + [str(r.choice((-1, 1)) * F(r.randint(1, 9), r.randint(1, 4)))]
+    parts += [str(F(r.randint(-4, 4), r.randint(1, 4))) for _ in range(r.randint(0, 3))]
+    X = _load_field("poly:" + ",".join(parts))
+    return X, with_reference_split(X)
+
+
+def _catalog_case(tag):
+    X = catalog_field(tag)
+    if tag == "quadratic_szekeres":
+        return X, with_reference_split(X, reference_szekeres_evaluator(quadratic(), 10_000))
+    return X, with_reference_split(X)
+
+
+def _pullback_case():
+    from germres.catalog import pullback_numeric_field
+
+    X = pullback_numeric_field(moebius(), catalog_field("neg_x2_x3"))
+    return X, with_reference_split(X)
+
+
+def _jet_germ():
+    from germres.catalog import germ_from_jet
+
+    return germ_from_jet(Jet.of(1, F(-3, 2), F(1, 2)), x_max=0.3)
+
+
+CATALOG_FIELD_TAGS = (
+    "neg_x2", "neg_2x2", "neg_x2_x3", "neg_x3", "x2", "pullback_log_cubic", "pullback_loglog", "quadratic_szekeres",
+)
+SZEKERES_GERMS = {"moebius": moebius, "quadratic": quadratic, "ramified_2_1": lambda: ramified_flow(2, 1), "jet": _jet_germ}
+ORACLE_CASES = {
+    **{tag: (lambda tag=tag: _catalog_case(tag)) for tag in CATALOG_FIELD_TAGS},
+    **{f"poly_ell{ell}_{k}": (lambda ell=ell, k=k: _poly_case(ell, 10 * ell + k)) for ell in (1, 2, 3) for k in range(2)},
+    **{
+        f"szekeres_{name}_{n}": (lambda germ=germ, n=n: _szekeres_case(germ(), n))
+        for name, germ in SZEKERES_GERMS.items()
+        for n in (1, 10, 100)
+    },
+    "pullback_moebius_neg_x2_x3": _pullback_case,
+}
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the same failure is the same outcome
+        return type(exc).__name__, str(exc)
+
+
+def _time_coordinate_answers(X, Y, xs, x0=0.1):
+    """Every answer built on the time coordinates of X and Y at the points xs."""
+    out = [_outcome(tau, X, x0, x) for x in xs] + [_outcome(tau, X, x, x0) for x in xs]
+    out.append(_outcome(tau, X, X.x_max, xs[0]))
+    times = [tau(X, x0, xs[0]), -0.1 * tau(X, x0, xs[-1])]
+    out += [_outcome(flow_map, X, x0, t) for t in times]
+    h = canonical_conjugacy(X, Y, x0)
+    for x in xs:
+        out += [_outcome(h, x), _outcome(h.deriv, x)]
+    out.append(_outcome(divergence_diagnostic, X, Y, xs, x0))
+    return out
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_time_coordinate_answers_are_those_of_the_first_split(name):
+    # tau, flow_map, h, Dh and the diagnostic from the generated integrand,
+    # antiderivative and Szekeres kernel are the same floats as from the
+    # closures and loops they replaced (tests/helpers.py)
+    X, X_ref = ORACLE_CASES[name]()
+    sign = -1 if X.is_contracting() else 1
+    Y = field_from_coeffs("partner", {X.ell + 1: sign, X.ell + 2: sign})
+    if name == "quadratic_szekeres":  # depth 10^4: two points keep it short
+        xs = (3e-2, 3e-4)
+    elif X.ell == 1:
+        xs = (3e-2, 3e-3, 3e-4, 3e-5)
+    else:
+        xs = (7e-2, 4e-2, 2e-2, 1e-2)
+    ours = _time_coordinate_answers(X, Y, xs)
+    assert ours == _time_coordinate_answers(X_ref, with_reference_split(Y), xs)
+    assert sum(isinstance(a, str) for a in ours) >= len(ours) - 2, ours
+    # and node by node: the integrand over [log(1e-5 / top), 0], the
+    # antiderivative from 1e-5 to top
+    sch, ref = X._tau_scheme, X_ref._tau_scheme
+    top = min(0.1, X.x_max)
+    nodes = [k / 40 * math.log(1e-5 / top) for k in range(41)]
+    assert [_outcome(sch.integrand, s, top) for s in nodes] == [_outcome(ref.integrand, s, top) for s in nodes]
+    ys = [top * math.exp(s) for s in nodes]
+    assert [_outcome(sch.antiderivative, y) for y in ys] == [_outcome(ref.antiderivative, y) for y in ys]
+
+
+def test_szekeres_numeric_field_checks_its_germ_and_depth_when_built():
+    from germres.catalog import log_cubic
+
+    # refused when built, not inside tau or at every evaluation
+    with pytest.raises(DomainError, match="contracting"):
+        szekeres_numeric_field(log_cubic(), 10)
+    for n in (MAX_ORBIT_STEPS + 1, 10**8):
+        with pytest.raises(DomainError, match="orbit steps"):
+            szekeres_numeric_field(quadratic(), n)
+    X = szekeres_numeric_field(quadratic(), 3)
+    assert X.func(0.1) == reference_szekeres(quadratic(), 0.1, 3, 0.0).value
+    # an evaluation checks only its point
+    with pytest.raises(DomainError, match="outside"):
+        X.func(0.6)
+
+
+def test_szekeres_field_counts_every_step_through_a_wrapped_increment():
+    # the benchmark counts orbit steps by wrapping GermSpec.increment; the
+    # kernel calls the increment and the derivative once per step
+    increment, steps = counting(moebius().increment)
+    deriv, derivs = counting(moebius().deriv)
+    germ = dataclasses.replace(moebius(), increment=increment, deriv=deriv)
+    X = szekeres_numeric_field(germ, 10)
+    assert X.func(0.05) == szekeres_numeric_field(moebius(), 10).func(0.05)
+    assert steps == derivs == [10]
+    tau(X, 0.1, 1e-3)
+    assert steps[0] == derivs[0] > 10 and steps[0] % 10 == 0
 
 
 def test_tau_refuses_to_cross_a_zero_of_a_polynomial_field():
@@ -522,10 +657,17 @@ def test_szekeres_numeric_field_refuses_a_depth_below_one():
 
 
 def test_szekeres_underflow_message_matches_the_reference():
+    # a negative Df makes the product alternate in sign, so that the
+    # fixed-depth loop must test |P| and not only P
+    for df in (1e-30, -1e-30):
+        _check_underflow_message(df)
+
+
+def _check_underflow_message(df):
     bad = GermSpec(
         name="collapse",
         func=lambda x: 0.5 * x,
-        deriv=lambda x: 1e-30,
+        deriv=lambda x: df,
         increment=lambda x: -0.5 * x,
         ell=1,
         a=1.0,
