@@ -1,17 +1,19 @@
 """Layer benchmarks of the time coordinate ``tau``, the time map
-``flow_map``, and the fixed-depth Szekeres kernel that the Szekeres fields
-evaluate at every quadrature node, alone and through ``szekeres_field``.
+``flow_map``, the median canonical-conjugacy request of the
+szekeres-conjugacy workload, and the fixed-depth Szekeres kernel that the
+Szekeres fields evaluate at every quadrature node, alone and through
+``szekeres_field``.
 
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-disable   # smoke run
 
 Each field is built once per case, so its tau split is already cached and
-the timings are of the quadrature and the root search alone.
+the timings are of the quadrature and the Newton iteration alone.
 """
 
 import pytest
 
-from germres import catalog, numerics
+from germres import catalog, flows, numerics
 from germres.catalog import szekeres_numeric_field
 
 FIELDS = {
@@ -36,6 +38,29 @@ def test_flow_map_toward_zero(benchmark):
     field = catalog.catalog_field("neg_x2_x3")
     z = benchmark(numerics.flow_map, field, 0.1, 50.0)
     assert 0.01 < z < 0.02
+
+
+def test_flow_map_from_an_exact_guess(benchmark):
+    """The time-50 image of 0.1 under the flow of -x^2 (1/60): the
+    leading-term guess is the root, so one quadrature checks it."""
+    field = catalog.catalog_field("neg_x2")
+    z = benchmark(numerics.flow_map, field, 0.1, 50.0)
+    assert abs(z - 1 / 60) <= 1e-15
+
+
+def test_conjugacy_median_request(benchmark):
+    """The median request of the szekeres-conjugacy workload: h(x), then
+    Dh(x), at x = 1e-3 for the depth-10 Szekeres field of quadratic and
+    the generator of its exact 3-jet, based at 0.1."""
+    X = szekeres_numeric_field(catalog.quadratic(), 10)
+    Y = numerics.field_from_jet(flows.germ_to_field(catalog.quadratic().jet_fn(3)))
+
+    def request():
+        h = numerics.canonical_conjugacy(X, Y, 0.1)
+        return h(1e-3), h.deriv(1e-3)
+
+    hx, dh = benchmark(request)
+    assert abs(hx / 1e-3 - 1) < 0.1 and abs(dh - 1) < 0.1
 
 
 def test_szekeres_field_fixed_depth(benchmark):

@@ -1,17 +1,15 @@
-"""Adaptive quadrature and bracketing root finding for the float engine.
+"""Adaptive quadrature for the float engine.
 
-Ports of QUADPACK's dqagse (Piessens, de Doncker-Kapenga, Ueberhuber and
-Kahaner, 1983) and of Brent's method (Brent, "Algorithms for Minimization
-without Derivatives", 1973) in its widely used C form brentq.c: the same
-operations in the same order, so the results are the same floats as those
-routines give (tests/test_kernels.py compares them).  Each also returns its
-error estimate, evaluation count, exit code or iteration count.
+A port of QUADPACK's dqagse (Piessens, de Doncker-Kapenga, Ueberhuber and
+Kahaner, 1983): the same operations in the same order, so the results are
+the same floats as that routine gives (tests/test_kernels.py compares them
+with scipy.integrate.quad).  It also returns the error estimate, evaluation
+count and exit code.
 
-``germres.numerics`` imports this module inside tau and flow_map, so the
-exact side never compiles or loads it.
+``germres.numerics`` imports this module inside tau, so the exact side
+never compiles or loads it.
 """
 
-import math
 import sys
 
 _EPMACH = sys.float_info.epsilon
@@ -439,74 +437,3 @@ def _dqagse(f, a, b, arg, epsabs, epsrel, limit):
         ier -= 1
     return result, abserr, 42 * last - 21, ier
 
-
-def brentq(f, xa, xb, xtol, rtol, maxiter):
-    """A zero of f in [xa, xb] by Brent's method as brentq.c runs it.
-
-    Returns (root, iterations, function_calls, converged); converged is
-    False when ``maxiter`` iterations did not meet the tolerance
-    xtol + rtol |root|.  Raises ValueError, with the messages of brentq.c's
-    common driver, when f returns nan or f(xa), f(xb) have the same sign.
-    """
-
-    def call(x):
-        fx = f(x)
-        if fx != fx:
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
-    funcalls = 2
-    if fpre == 0:
-        return xpre, 0, funcalls, True
-    if fcur == 0:
-        return xcur, 0, funcalls, True
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for i in range(1, maxiter + 1):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk = xpre
-            fblk = fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, i, funcalls, True
-
-        step = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                pass  # in IEEE arithmetic stry is +-inf or nan: bisect
-            else:
-                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                    step = stry  # good short step
-        if step is None:
-            spre = scur = sbis  # bisect
-        else:
-            spre, scur = scur, step
-
-        xpre = xcur
-        fpre = fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-        funcalls += 1
-    return xcur, maxiter, funcalls, False

@@ -7,7 +7,8 @@ The operations here are the numeric counterparts of the exact jet algebra:
   depth n it is ``_szekeres_kernel(germ, n)``, the evaluator of the
   catalog's Szekeres fields, built and checked once per (germ, n);
 * ``tau`` / ``flow_map`` -- the time coordinate tau(x) = int_{x0}^x dy/X(y)
-  and its inverse, giving f^t(x0) for a nonvanishing field;
+  and its inverse by Newton's iteration, giving f^t(x0) for a nonvanishing
+  field;
 * ``canonical_conjugacy`` -- h = tau_Y^{-1} o tau_X, the conjugacy between
   two one-dimensional flows, with derivative Dh = (Y o h) / X;
 * ``estimate_resit`` -- the orbit-deviation estimator
@@ -37,10 +38,11 @@ integrand and the Laurent antiderivative of a split are each one function
 generated by ``_codegen``, once per shape of split, so a quadrature node is
 one call (and one call of the field's evaluator for a black-box field).
 
-The quadrature of tau and the root search of flow_map are the package's
-own ports of QUADPACK's dqagse and of Brent's method (``germres._solvers``).
-They are imported inside the functions that use them, so importing this
-module (as every CLI verb does) does not load them.
+The quadrature of tau is the package's own port of QUADPACK's dqagse
+(``germres._solvers``), imported inside tau, so importing this module (as
+every CLI verb does) does not load it.  flow_map needs no solver of its
+own: since tau' = 1/X exactly, it runs Newton's iteration on tau(z) = t,
+safeguarded by a bracket, one quadrature per step.
 
 Fields, germs and splits are immutable and shared; a split is built once
 and never changed (a race at worst builds it twice).  The one other piece
@@ -93,6 +95,13 @@ MAX_ORBIT_STEPS = 10**7
 # worst on a 2-core Xeon
 MAX_POLY_DEGREE = 16
 MAX_POLY_BITS = 512
+
+# flow_map's Newton iteration: at most this many steps and bisections; a
+# step below this size relative to the iterate is the last one once the
+# steps converge quadratically or stop halving, and its residual then
+# stays well inside TAU_ABS_TOL
+_NEWTON_MAX_ITER = 100
+_NEWTON_NOISE = 2.0**-40
 
 
 class NumericsError(RuntimeError):
@@ -505,60 +514,45 @@ def tau(field: NumericField, x0: float, x: float) -> float:
 
 
 def flow_map(field: NumericField, x0: float, t: float) -> float:
-    """f^t(x0) for the flow of X: the solution of tau(result) = t.
+    """f^t(x0) for the flow of X: the root z of g(z) = tau(x0, z) - t.
+
+    g'(z) = 1/X(z) exactly, so the root is found by Newton's iteration
+    z <- z - g(z) X(z), one quadrature per step.  It starts from the
+    time-t image under the leading term c y^(ell+1), z^-ell = x0^-ell -
+    ell c t, which is the root itself for a monomial field.  Each evaluated
+    sign narrows a bracket (lo, hi) of the root: toward 0 it is (0, x0);
+    away from 0, x_max (or points halving the gap to a zero of a polynomial
+    field) must first be past the root, else the time is not reachable.  A
+    step that leaves the bracket halves hi while lo is still 0, and bisects
+    otherwise.  The iteration stops at a step within 4 ulps of the iterate,
+    or below ``_NEWTON_NOISE`` of it once the steps converge quadratically
+    or stop halving (quadrature noise), and returns that last update; the
+    residual test applies to the point it was made from.
 
     Raises :class:`ReachabilityError` when the time-t image would leave
     (0, x_max], and :class:`DomainError` when t is not finite.
     """
-    from ._solvers import brentq
-
     field.check_point(x0)
     if not math.isfinite(t):
         raise DomainError(f"time must be finite, not {t}")
     if t == 0.0:
         return x0
     target = float(t)
-    values = {}
-
-    def g(z):
-        # each point is integrated once per call: the bracket search, the
-        # ends brentq opens with and the residual at its root share values
-        if z not in values:
-            values[z] = tau(field, x0, z) - target
-        return values[z]
 
     # tau is strictly monotone: decreasing for contracting fields (X < 0),
-    # increasing for expanding ones.
-    toward_zero = (field.is_contracting() and target > 0) or (
-        not field.is_contracting() and target < 0
-    )
+    # increasing for expanding ones.  So g has the sign of g(x0) = -t
+    # between x0 and the root; a NaN counts as that side too, so that the
+    # search goes on away from x0
+    sign = -math.copysign(1.0, target)
+    toward_zero = field.is_contracting() == (target > 0)
+    ell = field.ell
+    try:
+        base = x0**-ell - ell * field.leading * target
+        guess = base ** (-1.0 / ell) if base > 0.0 else math.nan
+    except (OverflowError, ZeroDivisionError):
+        guess = math.nan
     if toward_zero:
-        # z lies between the root and x0 iff g(z) has the sign of g(x0) = -t;
-        # a NaN also counts as above, so that the search goes on toward 0
-        sign = -math.copysign(1.0, target)
-
-        def above(z):
-            return not g(z) * sign <= 0
-
-        # start from the time-t image under the leading term c y^(ell+1),
-        # z^-ell = x0^-ell - ell c t, and widen by factors of 2
-        ell = field.ell
-        try:
-            z = (x0**-ell - ell * field.leading * target) ** (-1.0 / ell)
-        except (OverflowError, ZeroDivisionError):
-            z = x0 / 2
-        if not 0.0 < z < x0:
-            z = x0 / 2
-        if above(z):
-            lo = z
-            while above(lo):
-                hi, lo = lo, lo / 2
-                if lo == 0.0:
-                    raise ReachabilityError("bracket for the time map collapsed to 0")
-        else:
-            hi = z
-            while not above(hi):
-                lo, hi = hi, min(2 * hi, x0)
+        lo, hi = 0.0, x0
     else:
         lo, hi = x0, field.x_max
         zero = field._tau_scheme.zero
@@ -567,26 +561,57 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
             # time to reach it: halve the gap to it, as toward 0
             gap = zero - x0
             hi = zero - gap / 2
-            while g(hi) * g(lo) > 0:
+            while not (tau(field, x0, hi) - target) * sign <= 0:
+                lo = hi
                 gap /= 2
                 hi = zero - gap / 2
                 if gap <= 4 * math.ulp(zero):
-                    raise ReachabilityError(
-                        f"time {t} is not reached before the field vanishes at {zero:.17g}"
-                    )
-        elif g(hi) * g(lo) > 0:
-            raise ReachabilityError(
-                f"time {t} exceeds the reachable range within (0, {field.x_max}]"
-            )
-    root, iterations, _calls, converged = brentq(g, lo, hi, 1e-300, 4 * sys.float_info.epsilon, 100)
-    if not converged:
-        raise NumericsError(f"time map: the root search stopped after {iterations} iterations")
+                    raise ReachabilityError(f"time {t} is not reached before the field vanishes at {zero:.17g}")
+        elif not (tau(field, x0, hi) - target) * sign <= 0:
+            raise ReachabilityError(f"time {t} exceeds the reachable range within (0, {field.x_max}]")
+    z = guess if lo < guess < hi else hi / 2 if lo == 0.0 else 0.5 * (lo + hi)
 
-    residual = g(root)  # brentq returns a point it has evaluated
+    # last: the size of the Newton step that led to z, 0 after a halving or
+    # a bisection
+    func, eps, last, iterations = field.func, sys.float_info.epsilon, 0.0, 0
+    while True:
+        gz = tau(field, x0, z) - target
+        step = gz * func(z)
+        size = abs(step)
+        # tested before the bracket, which a last step that rounds onto z
+        # would fail.  Below _NEWTON_NOISE, z - step is final once the
+        # steps converge quadratically (it is then off by about
+        # size^3 / last^2) or stop halving (quadrature noise)
+        if size <= 4 * eps * z or size <= _NEWTON_NOISE * z and (
+            size > last / 2 or size * size * size <= eps * z * last * last
+        ):
+            root = z - step
+            break
+        if (not gz * sign <= 0) == toward_zero:
+            hi = z  # between the root and x0 toward 0, past the root away from 0
+        else:
+            lo = z
+        new, last = z - step, size
+        if lo == 0.0 and not 0.0 < new < hi:
+            # halvings are not counted: they reach 0 within the float range
+            new, last = hi / 2, 0.0
+            if new == 0.0:
+                raise ReachabilityError("bracket for the time map collapsed to 0")
+        else:
+            iterations += 1
+            if iterations > _NEWTON_MAX_ITER:
+                raise NumericsError(f"time map: the root search stopped after {_NEWTON_MAX_ITER} iterations")
+            if not lo < new < hi:
+                new, last = 0.5 * (lo + hi), 0.0
+                if not lo < new < hi:  # lo and hi are adjacent floats
+                    root = z
+                    break
+        z = new
+
     sch = field._tau_scheme
-    bound = TAU_ABS_TOL * max(1.0, abs(sch.antiderivative(x0)), abs(sch.antiderivative(root)))
-    if abs(residual) > bound:
-        raise NumericsError(f"time-map residual {residual:.3e} exceeds {bound:.3e}")
+    bound = TAU_ABS_TOL * max(1.0, abs(sch.antiderivative(x0)), abs(sch.antiderivative(z)))
+    if abs(gz) > bound:
+        raise NumericsError(f"time-map residual {gz:.3e} exceeds {bound:.3e}")
     return root
 
 

@@ -1,17 +1,14 @@
 """The float engine's own kernels against their references: the QUADPACK
-port against scipy.integrate.quad, the Brent port against
-scipy.optimize.brentq (scipy is a test-only dependency), and the generated
-Horner evaluators against the loop they replace."""
+port against scipy.integrate.quad (scipy is a test-only dependency), and
+the generated Horner evaluators against the loop they replace."""
 
 import cmath
 import math
 import random
-import sys
 import warnings
 
 import pytest
 from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
 from germres import _solvers, catalog_field, moebius
 from germres.catalog import quadratic, szekeres_numeric_field
@@ -27,8 +24,6 @@ QUAD_MESSAGES = {
     4: "The algorithm does not converge",
     5: "The integral is probably divergent",
 }
-
-RTOL = 4 * sys.float_info.epsilon
 
 
 def quad_reference(f, a, b, arg, epsabs, epsrel, limit=200):
@@ -151,75 +146,6 @@ def test_quadrature_reports_its_exits():
     forward = _solvers.qagse(singular, 0.0, 1.0, 0.3, 1e-13, 1e-12, 200)
     backward = _solvers.qagse(singular, 1.0, 0.0, 0.3, 1e-13, 1e-12, 200)
     assert backward == (-forward[0],) + forward[1:]
-
-
-def brent_reference(f, a, b, maxiter=100):
-    root, info = brentq(f, a, b, xtol=1e-300, rtol=RTOL, maxiter=maxiter, full_output=True, disp=False)
-    return repr(root), info.iterations, info.function_calls, info.converged
-
-
-def brent_port(f, a, b, maxiter=100):
-    root, iterations, calls, converged = _solvers.brentq(f, a, b, 1e-300, RTOL, maxiter)
-    return repr(root), iterations, calls, converged
-
-
-def test_root_finder_matches_brentq_on_drawn_brackets():
-    rng = random.Random(13)
-    shapes = (
-        lambda c: lambda x: x**3 - c**3,
-        lambda c: lambda x: math.tanh(50 * (x - c)),
-        lambda c: lambda x: math.expm1(x) - math.expm1(c),
-        lambda c: lambda x: (x - c) ** 5,
-        lambda c: lambda x: 1e-200 * (x - c),
-    )
-    for shape in shapes:
-        for _ in range(40):
-            c = rng.uniform(-0.9, 0.9)
-            a, b = rng.uniform(-1, c), rng.uniform(c, 1)
-            if rng.random() < 0.5:
-                a, b = b, a
-            maxiter = rng.choice((100, 100, 5, 2))
-            f = shape(c)
-            assert brent_port(f, a, b, maxiter) == brent_reference(f, a, b, maxiter), (c, a, b)
-
-
-def test_root_finder_on_the_time_map():
-    # the function flow_map solves, on a field and a bracket it builds
-    from germres.numerics import tau
-
-    X = catalog_field("neg_x2_x3")
-    for t in (0.5, 3.0, 40.0):
-
-        def g(z, t=t):
-            return tau(X, 0.1, z) - t
-
-        assert brent_port(g, 1e-3, 0.1) == brent_reference(g, 1e-3, 0.1)
-
-
-def test_root_finder_edge_cases():
-    # an exact zero at one end: no iteration (brentq leaves its count unset)
-    for a, b in ((0.25, 1.0), (-1.0, 0.25)):
-        f = lambda x: x - 0.25  # noqa: E731
-        ours = brent_port(f, a, b)
-        assert ours[1] == 0
-        ref = brent_reference(f, a, b)
-        assert (ours[0], ours[2], ours[3]) == (ref[0], ref[2], ref[3])
-    # ends of the same sign, also where their product underflows
-    for a, b in ((1.0, 2.0), (1e-200, 2e-200), (-1e-300, -2e-300)):
-        with pytest.raises(ValueError, match="must have different signs"):
-            _solvers.brentq(lambda x: x, a, b, 1e-300, RTOL, 100)
-        with pytest.raises(ValueError, match="must have different signs"):
-            brentq(lambda x: x, a, b)
-    # a step at 1e-200 from [-1, 1]: Brent only bisects and stops at 100
-    f = lambda x: math.copysign(1.0, x - 1e-200)  # noqa: E731
-    ours = brent_port(f, -1.0, 1.0)
-    assert ours == brent_reference(f, -1.0, 1.0)
-    assert ours[1:] == (100, 102, False)
-    # nan stops both
-    nan_at_zero = lambda x: math.nan if x == 0.0 else x  # noqa: E731
-    for solve in (lambda: _solvers.brentq(nan_at_zero, -1.0, 1.0, 1e-300, RTOL, 100), lambda: brentq(nan_at_zero, -1.0, 1.0)):
-        with pytest.raises(ValueError, match="is NaN"):
-            solve()
 
 
 def outcome(f, x):

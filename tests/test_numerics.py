@@ -439,6 +439,87 @@ def test_flow_map_toward_zero_starts_from_the_leading_term_flow(monkeypatch):
         solve(catalog_field("neg_x2_x3"), t)
 
 
+@pytest.fixture
+def quadratures(monkeypatch):
+    """Counter of the tau calls that integrate (x != x0); reset it to 0."""
+    calls = [0]
+    plain = numerics.tau
+
+    def counted(field, x0, x):
+        calls[0] += x != x0
+        return plain(field, x0, x)
+
+    monkeypatch.setattr(numerics, "tau", counted)
+    return calls
+
+
+def test_flow_map_from_an_exact_leading_term_guess_integrates_once(quadratures):
+    # for -x^2 the leading-term flow is the flow: the guess is the root, and
+    # the one quadrature that checks it is the only one
+    X, x0 = catalog_field("neg_x2"), 0.1
+    for root in np.geomspace(1e-5, 1e-2, 13):
+        quadratures[0] = 0
+        flow_map(X, x0, 1 / root - 1 / x0)
+        assert quadratures[0] == 1, root
+
+
+def test_flow_map_newton_takes_few_quadratures(quadratures):
+    # Newton on tau' = 1/X from the leading-term guess; the bracket search
+    # and Brent's method took about 7 quadratures per time map here
+    from germres.flows import germ_to_field
+
+    X = catalog_field("neg_x2_x3")
+    for t in (1.0, 1e2, 1e4, 1e6):
+        quadratures[0] = 0
+        flow_map(X, 0.1, t)
+        assert quadratures[0] <= 4, t
+    # the order-3 generator of `quadratic`, at the times of x in [1e-5, 1e-2]
+    Y = field_from_jet(germ_to_field(quadratic().jet_fn(3)))
+    for x in np.geomspace(1e-5, 1e-2, 7):
+        t = tau(Y, 0.1, x)
+        quadratures[0] = 0
+        z = flow_map(Y, 0.1, t)
+        assert quadratures[0] <= 4, x
+        assert abs(z - x) <= 1e-12 * x
+
+
+def test_flow_map_within_one_and_a_half_ulps_of_closed_forms():
+    # the exact flows of -x^2, -x^3 and x^2 (at negative times, toward 0),
+    # in 200-bit arithmetic from the float x0 and t
+    import mpmath
+
+    exact = {
+        "neg_x2": lambda x0, t: x0 / (1 + t * x0),
+        "neg_x3": lambda x0, t: 1 / mpmath.sqrt(1 / x0**2 + 2 * t),
+        "x2": lambda x0, t: x0 / (1 - t * x0),
+    }
+    with mpmath.workprec(200):
+        for name, flow in exact.items():
+            X = catalog_field(name)
+            for x0 in (0.4, 0.1, 0.03):
+                for t in np.geomspace(1e-2, 1e6, 25):
+                    t = -t if name == "x2" else t
+                    z, ref = flow_map(X, x0, t), flow(mpmath.mpf(x0), mpmath.mpf(t))
+                    assert abs(z - ref) <= 1.5 * math.ulp(float(ref)), (name, x0, t)
+
+
+BLACK_BOX_FIELDS = {
+    "szekeres_moebius_10": lambda: szekeres_numeric_field(moebius(), 10),
+    "szekeres_moebius_100": lambda: szekeres_numeric_field(moebius(), 100),
+    "pullback_loglog": lambda: catalog_field("pullback_loglog"),
+}
+
+
+@pytest.mark.parametrize("name", BLACK_BOX_FIELDS)
+def test_flow_map_on_black_box_fields_matches_the_bracketed_reference(name):
+    # Newton's derivative is the field's own evaluator here, not a polynomial
+    X = BLACK_BOX_FIELDS[name]()
+    sign = -1 if X.is_contracting() else 1  # toward 0
+    for t in (1.0, 30.0, 1e3, 1e5):
+        ref = reference_flow_map(X, 0.1, -sign * t)
+        assert abs(flow_map(X, 0.1, -sign * t) - ref) <= 4 * np.finfo(float).eps * ref, t
+
+
 def test_flow_map_bracket_collapsed_to_zero():
     # the linear field -y reaches x0 e^-t, which is below the least float at
     # t = 800; its time coordinate stays finite all the way down
