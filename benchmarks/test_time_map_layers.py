@@ -7,8 +7,9 @@ Szekeres fields evaluate at every quadrature node, alone and through
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-disable   # smoke run
 
-Each field is built once per case, so its tau split is already cached and
-the timings are of the quadrature and the Newton iteration alone.
+Each field is built once per case, so its tau split and formal time are
+already cached and the timings are of the quadrature and the Newton
+iteration alone.
 """
 
 import pytest
@@ -17,6 +18,8 @@ from germres import catalog, flows, numerics
 from germres.catalog import szekeres_numeric_field
 
 FIELDS = {
+    # a monomial: its remainder is 0, so tau is the closed form alone
+    "neg_x2": lambda: catalog.catalog_field("neg_x2"),
     "neg_x2_x3": lambda: catalog.catalog_field("neg_x2_x3"),
     "szekeres_moebius_100": lambda: szekeres_numeric_field(catalog.moebius(), 100),
     # the depth that holds the median request of the szekeres-conjugacy workload
@@ -46,6 +49,17 @@ def test_flow_map_from_an_exact_guess(benchmark):
     field = catalog.catalog_field("neg_x2")
     z = benchmark(numerics.flow_map, field, 0.1, 50.0)
     assert abs(z - 1 / 60) <= 1e-15
+
+
+def test_flow_map_on_the_quadratic_generator(benchmark):
+    """The time map of the order-3 generator of quadratic (the workload's
+    non-monomial Y) from 0.1 to 1e-3: the closed-form inverse of its formal
+    time, then one quadrature that confirms it."""
+    Y = numerics.field_from_jet(flows.germ_to_field(catalog.quadratic().jet_fn(3)))
+    t = numerics.tau(Y, 0.1, 1e-3)
+    numerics.flow_map(Y, 0.1, t)  # the formal time's series, built once
+    z = benchmark(numerics.flow_map, Y, 0.1, t)
+    assert abs(z - 1e-3) <= 1e-15
 
 
 def test_conjugacy_median_request(benchmark):

@@ -4,8 +4,8 @@ The operations here are the numeric counterparts of the exact jet algebra:
 
 * ``szekeres_field`` -- the iterative limit (f^{n+1}(x) - f^n(x)) / Df^n(x)
   recovering the generating vector field of a contracting germ; at a fixed
-  depth n it is ``_szekeres_kernel(germ, n)``, the evaluator of the
-  catalog's Szekeres fields, built and checked once per (germ, n);
+  depth n it is ``_szekeres_kernel(germ, n)``, the generated evaluator of
+  the catalog's Szekeres fields, built and checked once per (germ, n);
 * ``tau`` / ``flow_map`` -- the time coordinate tau(x) = int_{x0}^x dy/X(y)
   and its inverse by Newton's iteration, giving f^t(x0) for a nonvanishing
   field;
@@ -29,27 +29,36 @@ in y would make the quadrature subdivide every decade between x and x0; in
 log y it is bounded.  Every field carries its exact jet at 0
 (``NumericField.jet``, a rational ``FieldJet``) and is built by
 ``field_from_jet``: from the jet alone for a polynomial field, or from the
-jet and an evaluator.  The split is computed exactly from that jet on the
-jets kernel, once per field, on first use, and kept on the field itself
-(``NumericField._tau_scheme``); each Laurent coefficient is rounded once.
+jet and an evaluator.  The split (``NumericField._tau_scheme``) rounds
+each Laurent coefficient of the field's formal time
+(``NumericField._formal_time``) once; the formal time holds the exact
+Laurent and log coefficients of 1/X, computed from that jet on the jets
+kernel.  Both are built once per field, on first use, and kept on the
+field itself.
 For a polynomial field (``NumericField.polynomial``) the remainder is
-assembled exactly too, without any cancellation at all.  The quadrature
-integrand and the Laurent antiderivative of a split are each one function
-generated by ``_codegen``, once per shape of split, so a quadrature node is
-one call (and one call of the field's evaluator for a black-box field).
+assembled exactly too, without any cancellation at all, and for a monomial
+it is 0, so tau is the Laurent antiderivative difference and calls no
+quadrature.  The quadrature integrand and the Laurent antiderivative of a
+split are each one function generated by ``_codegen``, once per shape of
+split, so a quadrature node is one call: a black-box field's evaluator is
+called from it, or inlined into it when ``_codegen`` generated it too (the
+fixed-depth Szekeres kernel).
 
 The quadrature of tau is the package's own port of QUADPACK's dqagse
 (``germres._solvers``), imported inside tau, so importing this module (as
 every CLI verb does) does not load it.  flow_map needs no solver of its
 own: since tau' = 1/X exactly, it runs Newton's iteration on tau(z) = t,
-safeguarded by a bracket, one quadrature per step.
+safeguarded by a bracket, one quadrature per step.  It starts from the
+closed-form inverse of the formal time, whose regular part is the Taylor
+series of 1/X to degree 16, computed exactly when flow_map first needs it;
+where that series converges well, one quadrature confirms the start.
 
-Fields, germs and splits are immutable and shared; a split is built once
-and never changed (a race at worst builds it twice).  The one other piece
-of state is a conjugacy's memo of its last (x, h(x)) pair, which lets Dh
-reuse h(x); it is a single tuple, replaced whole, so a concurrent caller
-either finds a matching pair or recomputes.  Grid sweeps may therefore run
-concurrently.
+Fields, germs, formal times and splits are immutable and shared; a split
+or a series is built once and never changed (a race at worst builds it
+twice).  The one other piece of state is a conjugacy's memo of its last
+(x, h(x)) pair, which lets Dh reuse h(x); it is a single tuple, replaced
+whole, so a concurrent caller either finds a matching pair or recomputes.
+Grid sweeps may therefore run concurrently.
 """
 
 from __future__ import annotations
@@ -77,14 +86,15 @@ TAU_ABS_TOL = 1e-10
 MAX_CONTOUR_POINTS = 1 << 20
 
 # orbit loops run in Python; per step, on a 2-vCPU Xeon VM with Python 3.11,
-# the estimate_resit loop takes ~0.08 us on `quadratic`, ~0.19 us on a
-# germ_from_jet polynomial, ~0.21 us on an --expr germ and ~0.29 us on an
-# increment it has to call; the fixed-depth Szekeres kernel takes ~0.14 us
-# on `quadratic`, ~0.21 us on `moebius`, ~0.27 us on a germ_from_jet
-# polynomial and ~0.42 us on `ramified_flow(2, 1)` (an exp and a log1p per
-# derivative), and the converging szekeres_field loop (tol > 0) ~0.06 us
-# more.  So this many steps take 1-5 s; longer orbits are refused before
-# the loop starts
+# the estimate_resit loop takes ~0.08 us on `quadratic`, ~0.13 us on a
+# germ_from_jet polynomial, ~0.23 us on an --expr germ and ~0.23 us on an
+# increment it has to call; the generated fixed-depth Szekeres kernel takes
+# ~0.13 us on `quadratic`, ~0.20 us on `moebius`, ~0.25 us on a
+# germ_from_jet polynomial, ~0.40 us on `ramified_flow(2, 1)` (an exp and a
+# log1p per derivative) and ~0.7 us on an --expr germ (x - x^2 + x^3/2 +
+# x^4, whose derivative runs every statement), and the converging
+# szekeres_field loop (tol > 0) ~0.06 us more.  So this many steps take
+# 1-7 s; longer orbits are refused before the loop starts
 MAX_ORBIT_STEPS = 10**7
 
 # an exact polynomial field's first zero is found by a Sturm search over the
@@ -102,6 +112,12 @@ MAX_POLY_BITS = 512
 # stays well inside TAU_ABS_TOL
 _NEWTON_MAX_ITER = 100
 _NEWTON_NOISE = 2.0**-40
+
+# the formal time keeps the regular part of 1/X through this degree; where
+# its radius (the nearest complex zero of S = X / (c y^(ell+1))) is ten times
+# the point, the truncation is ~1e-17 of the time, so the closed-form
+# inverse lands within a few ulps of the quadrature's root
+_FORMAL_TIME_DEGREE = 16
 
 
 class NumericsError(RuntimeError):
@@ -123,6 +139,10 @@ class ProductUnderflow(NumericsError):
 class ContourError(NumericsError):
     """z - f(z) vanishes on or dangerously near the integration circle, or
     the integral overflows the floating range."""
+
+
+def _outside(name, x, x_max):
+    return DomainError(f"{name}: point {x} outside (0, {x_max}]")
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +181,7 @@ class GermSpec:
 
     def check_point(self, x: float):
         if not 0.0 < x <= self.x_max:
-            raise DomainError(f"{self.name}: point {x} outside (0, {self.x_max}]")
+            raise _outside(self.name, x, self.x_max)
 
 
 @dataclass(frozen=True)
@@ -189,12 +209,17 @@ class NumericField:
 
     def check_point(self, x: float):
         if not 0.0 < x <= self.x_max:
-            raise DomainError(f"{self.name}: point {x} outside (0, {self.x_max}]")
+            raise _outside(self.name, x, self.x_max)
+
+    # both built on first use and stored in the instance __dict__, which a
+    # frozen dataclass allows; dataclasses.replace starts fresh ones
+
+    @cached_property
+    def _formal_time(self) -> _FormalTime:
+        return _FormalTime(self)
 
     @cached_property
     def _tau_scheme(self) -> _TauScheme:
-        # built on first use and stored in the instance __dict__, which a
-        # frozen dataclass allows; dataclasses.replace starts a fresh one
         return _TauScheme(self)
 
 
@@ -238,6 +263,16 @@ def _codegen(functions, params=(), namespace=(), args="x", filename="<germres>")
         return made
 
     return make
+
+
+def _body_of(fn, call: _Body) -> _Body:
+    """The body that ``_codegen`` recorded for ``fn``, or ``call``, a body
+    that calls its one param, bound to ``fn`` (a wrapper that copied the
+    record of a generated function is called too)."""
+    body = getattr(fn, "_germres_body", None)
+    if body is None or body.code is not getattr(fn, "__code__", None):
+        body = call._replace(values=(fn,))
+    return body
 
 
 def _horner(coeffs, power=0):
@@ -324,18 +359,94 @@ def field_from_jet(X, name: str = "", x_max: float = 1.0, func=None) -> NumericF
 # the time coordinate tau and flows
 
 
+class _FormalTime:
+    """The formal time coordinate of a field's exact jet X at 0.
+
+    With c the leading coefficient, S = X / (c y^(ell+1)) and 1/S =
+    sum_i E_i y^i, 1/X has the Laurent part sum_j d_j y^(-j), d_(ell+1-i) =
+    E_i / c, and the regular part sum_k r_k y^k, r_k = E_(ell+1+k) / c, so
+
+        tau-hat(y) = sum_(j >= 2) d_j y^(1-j) / (1-j) + d_1 log y
+                     + sum_k r_k y^(k+1) / (k+1).
+
+    ``laurent`` maps j to the exact d_j (ell + 1 down to 1; d_1, the log
+    coefficient, is -mu of ``reduce_field``), computed from the coefficients
+    c_(ell+1).. of the field's jet (its float leading term alone when it has
+    no jet) on the jets kernel; tau's split rounds them.  ``monomial`` says
+    that S is 1: 1/X is then its leading term, tau-hat has that term only,
+    and the leading-term flow is its exact inverse.
+
+    ``inverse`` solves tau-hat(z) - tau-hat(x0) = t by Newton's iteration
+    with tau-hat' = 1/X-hat, on the regular part through degree
+    ``_FORMAL_TIME_DEGREE``.  That series is computed exactly on first use
+    and each of its coefficients rounded once; when one passes the float
+    range there is no series, and the inverse returns its starting point.
+    """
+
+    def __init__(self, field: NumericField):
+        ell = field.ell
+        coeffs = [Fraction(field.leading)] if field.jet is None else field.jet.dense(field.jet.order)[ell + 1 :]
+        self.ell, self.c = ell, coeffs[0]
+        self.s = [ci / self.c for ci in coeffs]  # S, s_0 = 1
+        self.e = jets._recip(self.s, ell)
+        self.laurent = {ell + 1 - i: ei / self.c for i, ei in enumerate(self.e)}
+        self.monomial = not any(self.s[1:])
+
+    @cached_property
+    def _parts(self):
+        """Generated y -> (Laurent antiderivative, regular part of tau-hat,
+        1/X-hat) at y, or None without a series (a monomial field has none)."""
+        if self.monomial:
+            return None
+        ell, c = self.ell, self.c
+        # r_k = E_(ell+1+k) / c and a_k = r_k / (k+1) as ratios of ints,
+        # whose true division rounds once
+        ratios = [
+            (e.numerator * c.denominator, e.denominator * c.numerator)
+            for e in jets._recip(self.s, ell + 1 + _FORMAL_TIME_DEGREE)[ell + 1 :]
+        ]
+        try:
+            d = [float(dj) for dj in self.laurent.values()]
+            a = [num / (den * (k + 1)) for k, (num, den) in enumerate(ratios)]
+            r = [num / den for num, den in ratios]
+        except OverflowError:
+            return None
+        return _formal_time_factory(tuple(self.laurent), len(r))(*d, *a, *r)[0]
+
+    def inverse(self, x0: float, t: float, z: float, lo: float, hi: float) -> float:
+        """The root of tau-hat(z) - tau-hat(x0) = t in (lo, hi), by Newton's
+        iteration from z, which lies there.  Returns z itself without a
+        series, or once an iterate leaves (lo, hi) (a non-finite one does)
+        or a value passes the float range.  It stops as flow_map does, after
+        at most ``_NEWTON_MAX_ITER`` steps."""
+        parts = self._parts
+        if parts is None:
+            return z
+        start, last = z, 0.0
+        try:
+            laurent0, regular0, _ = parts(x0)
+            for _ in range(_NEWTON_MAX_ITER):
+                laurent, regular, slope = parts(z)
+                step = ((laurent - laurent0) + (regular - regular0) - t) / slope
+                new, size = z - step, abs(step)
+                if not lo < new < hi:
+                    return start
+                if _newton_done(size, last, z):
+                    return new
+                z, last = new, size
+        except (OverflowError, ZeroDivisionError):
+            return start
+        return z
+
+
 class _TauScheme:
     """The split 1/X = (Laurent part) + (remainder) of one field.
 
-    With S = X / (c y^(ell+1)), c the leading coefficient, and E = 1/S
-    through degree ell, the Laurent part is sum_j d_j y^(-j) with
-    d_(ell+1-i) = E_i / c.  Both kinds of field compute E exactly on the
-    jets kernel from the coefficients c_(ell+1).. of the field's exact jet
-    (its float leading term alone when it has no jet), and round each d_j
-    once.  Only the remainder differs between them, as ``polynomial``
-    says: a polynomial field's is the exact quotient T / (c S), T = (1 -
-    E S) / y^(ell+1), in two Horner forms; any other's is 1/func(y) less
-    the Laurent part.
+    The Laurent part is that of the field's formal time (``_FormalTime``),
+    each d_j rounded once.  Only the remainder differs between the two kinds
+    of field, as ``polynomial`` says: a polynomial field's is the exact
+    quotient T / (c S), T = (1 - E S) / y^(ell+1), in two Horner forms; any
+    other's is 1/func(y) less the Laurent part.
 
     The remainder r is integrated in s = log y, as r(y) y ds.  For an exact
     polynomial r is bounded; a black-box remainder is only O(1/y), since a
@@ -348,7 +459,10 @@ class _TauScheme:
     ``integrand(s, top)`` and the Laurent antiderivative are each one
     function generated by ``_codegen`` (once per shape of split, the
     coefficients and ``func`` bound as closure cells), so a quadrature node
-    costs one call, plus the call of ``func`` for a black-box field.
+    costs one call.  An evaluator that ``_codegen`` generated (the
+    fixed-depth Szekeres kernel) is inlined into the integrand; any other
+    ``func``, a wrapper of a generated one included, is called once per
+    node.
 
     ``zero`` is the least float at or past the first zero of an exact
     polynomial field in (0, x_max] (inf if it has none, and for black-box
@@ -356,18 +470,15 @@ class _TauScheme:
     """
 
     def __init__(self, field: NumericField):
-        ell = field.ell
-        coeffs = [Fraction(field.leading)] if field.jet is None else field.jet.dense(field.jet.order)[ell + 1 :]
-        c = coeffs[0]
-        s = [ci / c for ci in coeffs]  # S, s_0 = 1
-        e = jets._recip(s, ell)
+        formal = field._formal_time
+        ell, c, s, e = formal.ell, formal.c, formal.s, formal.e
         # black-box evaluators (no exact polynomial) carry float noise that
         # the quadrature cannot resolve below ~1e-11
         self.epsabs = 1e-13 if field.polynomial else 1e-11
         self.epsrel = 1e-12 if field.polynomial else 1e-9
         self.zero = _first_zero(s, field.x_max) if field.polynomial else math.inf
         try:
-            self.d = {ell + 1 - i: float(ei / c) for i, ei in enumerate(e)}
+            self.d = {j: float(dj) for j, dj in formal.laurent.items()}
             powers = tuple(self.d)  # ell + 1 down to 1
             self._laurent, = _laurent_factory(powers)(*self.d.values())
             if field.polynomial:
@@ -382,7 +493,9 @@ class _TauScheme:
                 # the remainder is bounded only if the evaluator's jet matches
                 # the field's through c_{2ell+1}, which a fixed-depth Szekeres
                 # field's does not
-                self.integrand, = _black_box_integrand_factory(powers)(field.func, *self.d.values())
+                body = _body_of(field.func, _CALL_FIELD)
+                make = _black_box_integrand_factory(powers, *body[:4])
+                self.integrand, = make(*body.values, *self.d.values())
         except OverflowError:
             raise DomainError(f"{field.name}: a coefficient of the split of 1/X passes the float range") from None
 
@@ -399,14 +512,38 @@ class _TauScheme:
 # which the tests compare with bit for bit
 
 
+def _laurent_lines(powers):
+    """Lines that leave sum_j d_j y^(1-j)/(1-j), with d_1 log y for j = 1, in
+    ``acc``, summed from 0.0 in the order of ``powers``."""
+    terms = (f"d{j} * _log(y)" if j == 1 else f"d{j} * y ** ({1 - j}) / ({1 - j})" for j in powers)
+    return ["acc = 0.0", *(f"acc = acc + {term}" for term in terms)]
+
+
 @lru_cache(maxsize=64)
 def _laurent_factory(powers):
-    """Factory (*d) -> (antiderivative,): y -> sum_j d_j y^(1-j)/(1-j), with
-    d_1 log y for j = 1, summed from 0.0 in the order of ``powers``."""
-    lines = ["acc = 0.0"]
-    lines += [f"acc = acc + d{j} * _log(y)" if j == 1 else f"acc = acc + d{j} * y ** ({1 - j}) / ({1 - j})" for j in powers]
+    """Factory (*d) -> (antiderivative,): y -> the Laurent antiderivative."""
     params = [f"d{j}" for j in powers]
-    return _codegen([("antiderivative", lines, "acc")], params, [("_log", math.log)], args="y", filename="<germres laurent>")
+    return _codegen(
+        [("antiderivative", _laurent_lines(powers), "acc")], params, [("_log", math.log)], args="y",
+        filename="<germres laurent>",
+    )
+
+
+@lru_cache(maxsize=64)
+def _formal_time_factory(powers, n):
+    """Factory (*d, *a, *r) -> (parts,): y -> (L(y), y A(y), 1/X-hat(y)),
+    where L is the Laurent antiderivative (the same floats as the split's),
+    A(y) = sum_(k<n) a_k y^k, a_k = r_k / (k+1), by Horner's rule, and
+    1/X-hat(y) = sum_j d_j y^(-j) + sum_(k<n) r_k y^k."""
+    ds, As, rs = [f"d{j}" for j in powers], [f"a{k}" for k in range(n)], [f"r{k}" for k in range(n)]
+    lines = [
+        *_laurent_lines(powers), *_horner_lines("reg", "y", As),
+        "u = 1.0 / y", "p = 0.0", *(f"p = p + d{j} * u**{j}" for j in powers), *_horner_lines("q", "y", rs),
+    ]
+    return _codegen(
+        [("parts", lines, "acc, reg * y, p + q")], [*ds, *As, *rs], [("_log", math.log)], args="y",
+        filename="<germres formal time>",
+    )
 
 
 @lru_cache(maxsize=64)
@@ -421,15 +558,24 @@ def _polynomial_integrand_factory(n_num, n_den):
     )
 
 
+# a black-box field's evaluator that records no body: one call per node
+_CALL_FIELD = _Body((), "func(x)", ("func",), (), (), None)
+
+
 @lru_cache(maxsize=64)
-def _black_box_integrand_factory(powers):
-    """Factory (func, *d) -> (integrand,): (s, top) -> r(y) y at
-    y = top exp(s), where r = 1/func(y) - sum_j d_j y^(-j), summed from 0.0
-    in the order of ``powers``."""
-    lines = ["y = top * _exp(s)", "u = 1.0 / y", "p = 0.0", *(f"p = p + d{j} * u**{j}" for j in powers)]
+def _black_box_integrand_factory(powers, lines, result, params, namespace):
+    """Factory (*values of ``params``, *d) -> (integrand,): (s, top) -> r(y) y
+    at y = top exp(s), where r = 1/X(y) - sum_j d_j y^(-j), summed from 0.0
+    in the order of ``powers``, and X(y) is the evaluator's body (``lines``
+    then ``result``) run on x = y, inlined.  Generated once per body; body
+    names must not start with an underscore."""
+    lines = [
+        "_y = _top * _exp(_s)", "_u = 1.0 / _y", "_p = 0.0", *(f"_p = _p + _d{j} * _u**{j}" for j in powers),
+        "x = _y", *lines,
+    ]
     return _codegen(
-        [("integrand", lines, "(1.0 / func(y) - p) * y")], ["func", *(f"d{j}" for j in powers)], [("_exp", math.exp)],
-        args="s, top", filename="<germres integrand>",
+        [("integrand", lines, f"(1.0 / ({result}) - _p) * _y")], [*params, *(f"_d{j}" for j in powers)],
+        [*namespace, ("_exp", math.exp)], args="_s, _top", filename="<germres integrand>",
     )
 
 
@@ -506,6 +652,10 @@ def tau(field: NumericField, x0: float, x: float) -> float:
     if top >= sch.zero:
         raise DomainError(f"{field.name}: the field vanishes at {sch.zero:.17g}, inside (0, {top}]")
     main = sch.antiderivative(x) - sch.antiderivative(x0)
+    if field.polynomial and field._formal_time.monomial:
+        # the exact remainder is 0: the quadrature of the zero integrand
+        # gives the zero signed as (x - x0) / X
+        return main + math.copysign(0.0, (x - x0) * field.leading)
     try:
         corr = qagse(sch.integrand, math.log(x0 / top), math.log(x / top), top, sch.epsabs, sch.epsrel, 200)[0]
     except ZeroDivisionError:
@@ -517,17 +667,25 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
     """f^t(x0) for the flow of X: the root z of g(z) = tau(x0, z) - t.
 
     g'(z) = 1/X(z) exactly, so the root is found by Newton's iteration
-    z <- z - g(z) X(z), one quadrature per step.  It starts from the
-    time-t image under the leading term c y^(ell+1), z^-ell = x0^-ell -
-    ell c t, which is the root itself for a monomial field.  Each evaluated
-    sign narrows a bracket (lo, hi) of the root: toward 0 it is (0, x0);
-    away from 0, x_max (or points halving the gap to a zero of a polynomial
-    field) must first be past the root, else the time is not reachable.  A
-    step that leaves the bracket halves hi while lo is still 0, and bisects
-    otherwise.  The iteration stops at a step within 4 ulps of the iterate,
-    or below ``_NEWTON_NOISE`` of it once the steps converge quadratically
-    or stop halving (quadrature noise), and returns that last update; the
-    residual test applies to the point it was made from.
+    z <- z - g(z) X(z), one quadrature per step.  Each evaluated sign
+    narrows a bracket (lo, hi) of the root: toward 0 it is (0, x0); away
+    from 0, x_max (or points halving the gap to a zero of a polynomial
+    field) must first be past the root, else the time is not reachable.
+    The iteration starts from the closed-form inverse of the field's formal
+    time (``_FormalTime.inverse``): Newton's iteration in that bracket on
+    the Laurent part of 1/X and the Taylor series of the rest to degree
+    16, both from the exact jet, with their own derivative, so it takes no
+    quadrature and no evaluation of X.  That inverse starts from, and on
+    overflow or a step out of the bracket falls back to, the time-t image
+    under the leading term c y^(ell+1), z^-ell = x0^-ell - ell c t, which
+    is the root itself for a monomial field (whose tau needs no quadrature
+    either).  Where the series converges well the start is within a few
+    ulps of the root, and one quadrature confirms it.  A step that leaves
+    the bracket halves hi while lo is still 0, and bisects otherwise.  The
+    iteration stops at a step within 4 ulps of the iterate, or below
+    ``_NEWTON_NOISE`` of it once the steps converge quadratically or stop
+    halving (quadrature noise), and returns that last update; the residual
+    test applies to the point it was made from.
 
     Raises :class:`ReachabilityError` when the time-t image would leave
     (0, x_max], and :class:`DomainError` when t is not finite.
@@ -570,21 +728,18 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
         elif not (tau(field, x0, hi) - target) * sign <= 0:
             raise ReachabilityError(f"time {t} exceeds the reachable range within (0, {field.x_max}]")
     z = guess if lo < guess < hi else hi / 2 if lo == 0.0 else 0.5 * (lo + hi)
+    z = field._formal_time.inverse(x0, target, z, lo, hi)
 
-    # last: the size of the Newton step that led to z, 0 after a halving or
-    # a bisection
-    func, eps, last, iterations = field.func, sys.float_info.epsilon, 0.0, 0
+    # last: the size of the Newton step that led to z, 0 after a halving, a
+    # bisection or the start
+    func, last, iterations = field.func, 0.0, 0
     while True:
         gz = tau(field, x0, z) - target
         step = gz * func(z)
         size = abs(step)
         # tested before the bracket, which a last step that rounds onto z
-        # would fail.  Below _NEWTON_NOISE, z - step is final once the
-        # steps converge quadratically (it is then off by about
-        # size^3 / last^2) or stop halving (quadrature noise)
-        if size <= 4 * eps * z or size <= _NEWTON_NOISE * z and (
-            size > last / 2 or size * size * size <= eps * z * last * last
-        ):
+        # would fail
+        if _newton_done(size, last, z):
             root = z - step
             break
         if (not gz * sign <= 0) == toward_zero:
@@ -613,6 +768,17 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
     if abs(gz) > bound:
         raise NumericsError(f"time-map residual {gz:.3e} exceeds {bound:.3e}")
     return root
+
+
+def _newton_done(size: float, last: float, z: float) -> bool:
+    """Whether the Newton update z - step, of size ``size`` after a step of
+    size ``last`` (0 after a restart), is final: within 4 ulps of z, or
+    below ``_NEWTON_NOISE`` of it once the steps converge quadratically (the
+    update is then off by about size^3 / last^2) or stop halving (noise)."""
+    eps = sys.float_info.epsilon
+    return size <= 4 * eps * z or size <= _NEWTON_NOISE * z and (
+        size > last / 2 or size * size * size <= eps * z * last * last
+    )
 
 
 @dataclass(frozen=True)
@@ -718,26 +884,38 @@ def _szekeres_kernel(germ: GermSpec, n: int) -> Callable[[float], Optional[float
     The germ and the depth are checked here, once; an evaluation checks
     only its point, then runs n steps that carry the orbit point and the
     derivative product, calling ``germ.increment`` and ``germ.deriv`` once
-    each per step, and divides once, after the last step.
+    each per step, and divides once, after the last step.  The evaluator is
+    generated by ``_codegen``, so a black-box split inlines it into its
+    quadrature integrand.
     """
     _check_szekeres(germ, n)
-    check, increment, deriv, steps = germ.check_point, germ.increment, germ.deriv, range(n)
-
-    def szekeres(x, _abs=abs):
-        check(x)
-        product = last = 1.0
-        step = None
-        for k in steps:
-            step = increment(x)
-            last = product
-            product *= deriv(x)
-            # abs() is called only for a product outside the positive range
-            if not (1e-280 < product < 1e280) and not (1e-280 < _abs(product) < 1e280):
-                raise _product_left_range(k, product)
-            x = x + step
-        return None if step is None else step / last
-
+    szekeres, = _szekeres_factory()(germ.x_max, germ.name, germ.increment, germ.deriv, range(n))
     return szekeres
+
+
+@lru_cache(maxsize=1)
+def _szekeres_factory():
+    """Factory (x_max, name, increment, deriv, steps) -> (szekeres,); abs()
+    is called only for a product outside the positive range."""
+    lines = [
+        "if not 0.0 < x <= x_max:",
+        "    raise outside(name, x, x_max)",
+        "product = last = 1.0",
+        "step = None",
+        "for k in steps:",
+        "    step = increment(x)",
+        "    last = product",
+        "    product *= deriv(x)",
+        "    if not (1e-280 < product < 1e280) and not (1e-280 < abs(product) < 1e280):",
+        "        raise left_range(k, product)",
+        "    x = x + step",
+    ]
+    return _codegen(
+        [("szekeres", lines, "None if step is None else step / last")],
+        ["x_max", "name", "increment", "deriv", "steps"],
+        [("abs", abs), ("outside", _outside), ("left_range", _product_left_range)],
+        filename="<germres szekeres>",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -796,10 +974,7 @@ def _orbit_values(germ: GermSpec, x0: float, ns: Sequence[int]):
     ns = sorted(set(ns))
     if ns[-1] > MAX_ORBIT_STEPS:
         raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {ns[-1]}")
-    inc = germ.increment
-    body = getattr(inc, "_germres_body", None)
-    if body is None or body.code is not getattr(inc, "__code__", None):
-        body = _CALL_INCREMENT._replace(values=(inc,))
+    body = _body_of(germ.increment, _CALL_INCREMENT)
     orbit, = _orbit_kernel(*body[:4])(*body.values)
     x, comp = float(x0), 0.0
     out = {}

@@ -1256,3 +1256,187 @@ def test_a_split_past_the_float_range_is_a_domain_error():
     X = field_from_coeffs("big", {4: -1, 5: -(2**400)})
     with pytest.raises(DomainError, match="big: .*float range"):
         tau(X, 0.05, 0.02)
+
+
+# -- the formal time and its closed-form inverse --------------------------------
+
+SEEDED_POLY_FIELDS = [(ell, 100 * ell + k) for ell in (1, 2, 3) for k in range(10)]
+SEEDED_TIMES = (0.5, 3.0, 40.0, 1e3, 1e5)
+
+
+def _seeded_maps():
+    """(field, x0, t) of the time maps toward 0 over the seeded `poly:` fields."""
+    for ell, seed in SEEDED_POLY_FIELDS:
+        X = _poly_case(ell, seed)[0]
+        sign = 1 if X.is_contracting() else -1
+        for t in SEEDED_TIMES:
+            yield X, 0.1, sign * t
+
+
+def test_formal_time_is_the_expansion_of_one_over_the_field():
+    # Laurent, log and regular coefficients against sympy's series of 1/X;
+    # the log coefficient is -mu of reduce_field
+    import sympy as sp
+
+    from germres import reduce_field
+    from germres.numerics import _FORMAL_TIME_DEGREE
+
+    y = sp.symbols("y")
+    for ell, seed in SEEDED_POLY_FIELDS[::4]:
+        X = _poly_case(ell, seed)[0]
+        formal = X._formal_time
+        poly = sum(sp.Rational(c.numerator, c.denominator) * y**n for n, c in enumerate(X.jet.coeffs, 2))
+        series = sp.series(1 / poly, y, 0, _FORMAL_TIME_DEGREE + 1).removeO()
+        coeff = {n: series.coeff(y, n) for n in range(-ell - 1, _FORMAL_TIME_DEGREE + 1)}
+        assert {j: sp.Rational(d.numerator, d.denominator) for j, d in formal.laurent.items()} == {
+            j: coeff[-j] for j in range(ell + 1, 0, -1)
+        }
+        padded = FieldJet.from_dense(X.jet.dense(2 * ell + 1))
+        assert formal.laurent[1] == -reduce_field(padded)[1]
+        # L(y), y A(y) and 1/X-hat(y) at y = 1/8, from the rounded coefficients
+        lau, reg, slope = formal._parts(0.125)
+        assert lau == X._tau_scheme.antiderivative(0.125)
+        r = [float(coeff[k]) for k in range(_FORMAL_TIME_DEGREE + 1)]
+        assert math.isclose(reg, sum(rk * 0.125 ** (k + 1) / (k + 1) for k, rk in enumerate(r)), rel_tol=1e-14)
+        assert math.isclose(slope, float(series.subs(y, sp.Rational(1, 8))), rel_tol=1e-14)
+
+
+def test_flow_map_on_seeded_polynomial_fields_takes_few_quadratures(quadratures):
+    # the closed-form inverse of the formal time is Newton's start; from the
+    # leading-term guess alone this read 2.87 quadratures per map
+    maps = total = 0
+    for X, x0, t in _seeded_maps():
+        quadratures[0] = 0
+        flow_map(X, x0, t)
+        maps, total = maps + 1, total + quadratures[0]
+    assert maps == 150 and total / maps <= 1.3
+
+
+def test_flow_map_integrates_once_on_the_workload_generators(quadratures):
+    # the order-3 generators of `quadratic` and of the benchmark's seeded
+    # germs x - a x^2 + b x^3, at the times of x in [1e-5, 1e-2]
+    jets = [quadratic().jet_fn(3)] + [Jet.of(1, -F(a, 4), F(b, 4)) for a in range(2, 9) for b in range(-4, 5)]
+    for jet in jets:
+        Y = field_from_jet(germ_to_field(jet))
+        for x in np.geomspace(1e-5, 1e-2, 7):
+            t = tau(Y, 0.1, x)
+            quadratures[0] = 0
+            z = flow_map(Y, 0.1, t)
+            assert quadratures[0] == 1, (jet, x)
+            assert abs(z - x) <= 1e-12 * x
+
+
+def test_away_from_zero_time_maps_start_from_the_formal_time(quadratures):
+    # the sign probes at x_max or toward the zero 1/3 of y^2 - 3 y^3 count;
+    # from the leading-term guess these maps took 5 to 6 quadratures
+    from scipy.optimize import brentq
+
+    closed = {
+        "e": ({2: 1, 3: -3}, lambda z: -1 / z + 3 * math.log(z) - 3 * math.log(1 - 3 * z), 1 / 3 - 1e-15),
+        "g": ({2: 1, 3: 1}, lambda z: -1 / z - math.log(z) + math.log(1 + z), 1.0),
+    }
+    for name, (coeffs, T, end) in closed.items():
+        X = field_from_coeffs(name, coeffs)
+        for t in (0.5, 1.0, 5.0):
+            quadratures[0] = 0
+            z = flow_map(X, 0.1, t)
+            assert quadratures[0] <= 3, (name, t)
+            ref = brentq(lambda w: T(w) - T(0.1) - t, 0.1, end, xtol=1e-300, rtol=1e-15)
+            assert abs(z - ref) <= 1e-12 * ref
+
+
+def test_tau_on_a_monomial_field_needs_no_quadrature(monkeypatch):
+    # the exact remainder is 0: tau is the Laurent antiderivative difference
+    # plus the signed zero that the quadrature of the zero integrand gives
+    from germres import _solvers
+
+    fields = [catalog_field(tag) for tag in ("neg_x2", "neg_2x2", "neg_x3", "x2")]
+    fields += [field_from_coeffs("gen", {2: -1}), field_from_coeffs("gen", {3: F(-1, 2)})]
+    points = (0.4, 0.1, 0.03, 1e-3, 1e-5, 1e-7)
+    cases = [
+        (X, x0, x)
+        for X in fields
+        for x0 in points
+        for x in points + (math.nextafter(x0, 1.0),)
+        if x0 != x and max(x0, x) <= X.x_max
+    ]
+
+    def quadrature_tau(X, x0, x):
+        sch, top = X._tau_scheme, max(x0, x)
+        corr = _solvers.qagse(sch.integrand, math.log(x0 / top), math.log(x / top), top, sch.epsabs, sch.epsrel, 200)[0]
+        return (sch.antiderivative(x) - sch.antiderivative(x0)) + corr
+
+    expected = [repr(quadrature_tau(*case)) for case in cases]
+
+    def refused(*args):
+        raise AssertionError("qagse called")
+
+    monkeypatch.setattr(_solvers, "qagse", refused)
+    assert [repr(tau(*case)) for case in cases] == expected and len(cases) > 150
+
+
+def test_flow_map_within_four_ulps_of_mpmath_roots_on_seeded_fields():
+    # the reference: one Newton step at 50 digits from the float root, on
+    # tau integrated by mpmath in s = log y (its error estimate checked)
+    import mpmath
+
+    worst = 0.0
+    with mpmath.workdps(50):
+        for X, x0, t in _seeded_maps():
+            cs = {n: mpmath.mpf(c.numerator) / c.denominator for n, c in enumerate(X.jet.coeffs, 2) if c}
+
+            def field(y):
+                return mpmath.fsum(c * y**n for n, c in cs.items())
+
+            z = flow_map(X, x0, t)
+            zm = mpmath.mpf(z)
+            value, error = mpmath.quad(
+                lambda s: mpmath.exp(s) / field(mpmath.exp(s)), [mpmath.log(x0), mpmath.log(zm)], error=True
+            )
+            assert error <= mpmath.mpf(10) ** -35 * max(1, abs(value))
+            ref = zm - (value - t) * field(zm)
+            worst = max(worst, float(abs(zm - ref)) / math.ulp(float(ref)))
+    assert worst <= 4.0, worst
+
+
+def test_a_field_at_the_bit_limit_falls_back_to_the_leading_term_guess():
+    # S = 1 + 2^510 y takes 512 bits; its Laurent part fits in floats, but
+    # E_3 = -2^1530 of the series of 1/S does not, so there is no series
+    X = field_from_coeffs("b", {2: -1, 3: -(2 ** (MAX_POLY_BITS - 2))})
+    formal = X._formal_time
+    assert formal._parts is None and not formal.monomial
+    assert formal.inverse(1e-170, 1e170, 5e-171, 0.0, 1e-170) == 5e-171
+    for t in (0.5e170, 2e170, 1e172):
+        z = flow_map(X, 1e-170, t)
+        assert abs(z - reference_flow_map(X, 1e-170, t)) <= 4 * np.finfo(float).eps * z
+
+
+def test_a_counting_wrapper_on_a_szekeres_evaluator_counts_every_node():
+    # the split inlines the generated Szekeres kernel into its integrand;
+    # a plain wrapper or one that copies the kernel's body record (as
+    # functools.wraps does) is called at every quadrature node
+    import functools
+
+    from germres._solvers import qagse
+
+    def copying(fn):
+        calls = [0]
+
+        @functools.wraps(fn)
+        def wrapper(x):
+            calls[0] += 1
+            return fn(x)
+
+        assert wrapper._germres_body is fn._germres_body
+        return wrapper, calls
+
+    increment, steps = counting(moebius().increment)
+    X = szekeres_numeric_field(dataclasses.replace(moebius(), increment=increment), 10)
+    sch = X._tau_scheme
+    nodes = qagse(sch.integrand, math.log(1e-3 / 0.1), 0.0, 0.1, sch.epsabs, sch.epsrel, 200)[2]
+    assert nodes % 21 == 0 and steps == [10 * nodes]
+    ref = tau(X, 0.1, 1e-3)
+    for wrap in (counting, copying):
+        func, calls = wrap(X.func)
+        assert tau(dataclasses.replace(X, func=func), 0.1, 1e-3) == ref
+        assert calls == [nodes]
