@@ -29,20 +29,18 @@ in y would make the quadrature subdivide every decade between x and x0; in
 log y it is bounded.  Every field carries its exact jet at 0
 (``NumericField.jet``, a rational ``FieldJet``) and is built by
 ``field_from_jet``: from the jet alone for a polynomial field, or from the
-jet and an evaluator.  The split (``NumericField._tau_scheme``) rounds
-each Laurent coefficient of the field's formal time
-(``NumericField._formal_time``) once; the formal time holds the exact
-Laurent and log coefficients of 1/X, computed from that jet on the jets
-kernel.  Both are built once per field, on first use, and kept on the
-field itself.
-For a polynomial field (``NumericField.polynomial``) the remainder is
-assembled exactly too, without any cancellation at all, and for a monomial
-it is 0, so tau is the Laurent antiderivative difference and calls no
-quadrature.  The quadrature integrand and the Laurent antiderivative of a
-split are each one function generated by ``_codegen``, once per shape of
-split, so a quadrature node is one call: a black-box field's evaluator is
-called from it, or inlined into it when ``_codegen`` generated it too (the
-fixed-depth Szekeres kernel).
+jet and an evaluator.  One object per field holds the split, the field's
+formal time (``NumericField._formal_time``, built on first use and kept on
+the field): the exact Laurent and log coefficients of 1/X, computed from
+that jet on the jets kernel and each rounded once, and the functions that
+tau and flow_map call.  For a polynomial field
+(``NumericField.polynomial``) the remainder is assembled exactly too,
+without any cancellation at all, and for a monomial it is 0, so tau is the
+Laurent antiderivative difference and calls no quadrature.  The quadrature
+integrand and the Laurent antiderivative are each one function generated by
+``_codegen``, once per shape of split, so a quadrature node is one call: a
+black-box field's evaluator is called from it, or inlined into it when
+``_codegen`` generated it too (the fixed-depth Szekeres kernel).
 
 The quadrature of tau is the package's own port of QUADPACK's dqagse
 (``germres._solvers``), imported inside tau, so importing this module (as
@@ -53,8 +51,8 @@ closed-form inverse of the formal time, whose regular part is the Taylor
 series of 1/X to degree 16, computed exactly when flow_map first needs it;
 where that series converges well, one quadrature confirms the start.
 
-Fields, germs, formal times and splits are immutable and shared; a split
-or a series is built once and never changed (a race at worst builds it
+Fields, germs and formal times are immutable and shared; a formal time
+or its series is built once and never changed (a race at worst builds it
 twice).  The one other piece of state is a conjugacy's memo of its last
 (x, h(x)) pair, which lets Dh reuse h(x); it is a single tuple, replaced
 whole, so a concurrent caller either finds a matching pair or recomputes.
@@ -145,6 +143,14 @@ def _outside(name, x, x_max):
     return DomainError(f"{name}: point {x} outside (0, {x_max}]")
 
 
+def _finite(v) -> bool:
+    """math.isfinite, False (not OverflowError) for an int past the float range."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 # ---------------------------------------------------------------------------
 # germ and field descriptions
 
@@ -211,16 +217,12 @@ class NumericField:
         if not 0.0 < x <= self.x_max:
             raise _outside(self.name, x, self.x_max)
 
-    # both built on first use and stored in the instance __dict__, which a
-    # frozen dataclass allows; dataclasses.replace starts fresh ones
+    # built on first use and stored in the instance __dict__, which a frozen
+    # dataclass allows; dataclasses.replace starts a fresh one
 
     @cached_property
     def _formal_time(self) -> _FormalTime:
         return _FormalTime(self)
-
-    @cached_property
-    def _tau_scheme(self) -> _TauScheme:
-        return _TauScheme(self)
 
 
 class _Body(NamedTuple):
@@ -265,13 +267,13 @@ def _codegen(functions, params=(), namespace=(), args="x", filename="<germres>")
     return make
 
 
-def _body_of(fn, call: _Body) -> _Body:
-    """The body that ``_codegen`` recorded for ``fn``, or ``call``, a body
-    that calls its one param, bound to ``fn`` (a wrapper that copied the
-    record of a generated function is called too)."""
+def _body_of(fn) -> _Body:
+    """The body that ``_codegen`` recorded for ``fn``, or one that calls
+    ``fn`` (a wrapper that copied the record of a generated function is
+    called too)."""
     body = getattr(fn, "_germres_body", None)
     if body is None or body.code is not getattr(fn, "__code__", None):
-        body = call._replace(values=(fn,))
+        body = _Body((), "fn(x)", ("fn",), (), (fn,), None)
     return body
 
 
@@ -360,7 +362,7 @@ def field_from_jet(X, name: str = "", x_max: float = 1.0, func=None) -> NumericF
 
 
 class _FormalTime:
-    """The formal time coordinate of a field's exact jet X at 0.
+    """The time coordinate of one field, from its exact jet X at 0.
 
     With c the leading coefficient, S = X / (c y^(ell+1)) and 1/S =
     sum_i E_i y^i, 1/X has the Laurent part sum_j d_j y^(-j), d_(ell+1-i) =
@@ -372,9 +374,25 @@ class _FormalTime:
     ``laurent`` maps j to the exact d_j (ell + 1 down to 1; d_1, the log
     coefficient, is -mu of ``reduce_field``), computed from the coefficients
     c_(ell+1).. of the field's jet (its float leading term alone when it has
-    no jet) on the jets kernel; tau's split rounds them.  ``monomial`` says
-    that S is 1: 1/X is then its leading term, tau-hat has that term only,
-    and the leading-term flow is its exact inverse.
+    no jet) on the jets kernel; ``d`` holds them rounded once (one past the
+    float range is a DomainError), and ``antiderivative`` integrates the
+    Laurent part in closed form.  ``monomial`` says that S is 1: 1/X is
+    then its leading term, tau-hat has that term only, and the leading-term
+    flow is its exact inverse.
+
+    tau integrates the remainder r of 1/X by quadrature in s = log(y / top),
+    top = max(x0, x), as ``integrand(s, top)`` = r(y) y.  A polynomial
+    field's r is the exact quotient T / (c S), T = (1 - E S) / y^(ell+1), in
+    two Horner forms; any other's is 1/func(y) less the Laurent part, only
+    O(1/y) (a fixed-depth Szekeres field, the pullback of f - id by f^n,
+    carries a residue that its jet does not give) and so bounded in s.  The
+    integrand and the antiderivative are each one function generated by
+    ``_codegen`` once per shape, so a quadrature node is one call: a
+    generated ``func`` (the Szekeres kernel) is inlined, any other one, a
+    wrapper of a generated one included, is called.  ``zero`` is the least
+    float at or past the first zero of a polynomial field in (0, x_max]
+    (inf if it has none, and for black-box fields); tau refuses intervals
+    that reach it.
 
     ``inverse`` solves tau-hat(z) - tau-hat(x0) = t by Newton's iteration
     with tau-hat' = 1/X-hat, on the regular part through degree
@@ -386,99 +404,19 @@ class _FormalTime:
     def __init__(self, field: NumericField):
         ell = field.ell
         coeffs = [Fraction(field.leading)] if field.jet is None else field.jet.dense(field.jet.order)[ell + 1 :]
-        self.ell, self.c = ell, coeffs[0]
-        self.s = [ci / self.c for ci in coeffs]  # S, s_0 = 1
-        self.e = jets._recip(self.s, ell)
-        self.laurent = {ell + 1 - i: ei / self.c for i, ei in enumerate(self.e)}
-        self.monomial = not any(self.s[1:])
-
-    @cached_property
-    def _parts(self):
-        """Generated y -> (Laurent antiderivative, regular part of tau-hat,
-        1/X-hat) at y, or None without a series (a monomial field has none)."""
-        if self.monomial:
-            return None
-        ell, c = self.ell, self.c
-        # r_k = E_(ell+1+k) / c and a_k = r_k / (k+1) as ratios of ints,
-        # whose true division rounds once
-        ratios = [
-            (e.numerator * c.denominator, e.denominator * c.numerator)
-            for e in jets._recip(self.s, ell + 1 + _FORMAL_TIME_DEGREE)[ell + 1 :]
-        ]
-        try:
-            d = [float(dj) for dj in self.laurent.values()]
-            a = [num / (den * (k + 1)) for k, (num, den) in enumerate(ratios)]
-            r = [num / den for num, den in ratios]
-        except OverflowError:
-            return None
-        return _formal_time_factory(tuple(self.laurent), len(r))(*d, *a, *r)[0]
-
-    def inverse(self, x0: float, t: float, z: float, lo: float, hi: float) -> float:
-        """The root of tau-hat(z) - tau-hat(x0) = t in (lo, hi), by Newton's
-        iteration from z, which lies there.  Returns z itself without a
-        series, or once an iterate leaves (lo, hi) (a non-finite one does)
-        or a value passes the float range.  It stops as flow_map does, after
-        at most ``_NEWTON_MAX_ITER`` steps."""
-        parts = self._parts
-        if parts is None:
-            return z
-        start, last = z, 0.0
-        try:
-            laurent0, regular0, _ = parts(x0)
-            for _ in range(_NEWTON_MAX_ITER):
-                laurent, regular, slope = parts(z)
-                step = ((laurent - laurent0) + (regular - regular0) - t) / slope
-                new, size = z - step, abs(step)
-                if not lo < new < hi:
-                    return start
-                if _newton_done(size, last, z):
-                    return new
-                z, last = new, size
-        except (OverflowError, ZeroDivisionError):
-            return start
-        return z
-
-
-class _TauScheme:
-    """The split 1/X = (Laurent part) + (remainder) of one field.
-
-    The Laurent part is that of the field's formal time (``_FormalTime``),
-    each d_j rounded once.  Only the remainder differs between the two kinds
-    of field, as ``polynomial`` says: a polynomial field's is the exact
-    quotient T / (c S), T = (1 - E S) / y^(ell+1), in two Horner forms; any
-    other's is 1/func(y) less the Laurent part.
-
-    The remainder r is integrated in s = log y, as r(y) y ds.  For an exact
-    polynomial r is bounded; a black-box remainder is only O(1/y), since a
-    field computed pointwise (a fixed-depth Szekeres field is the pullback
-    of f - id by f^n) carries a residue that its jet does not give.  In s
-    both integrands are bounded, so the adaptive rule does not subdivide
-    the decades between x and x0.  The integration runs in
-    s = log(y / top), top = max(x0, x), so that no node exceeds top.
-
-    ``integrand(s, top)`` and the Laurent antiderivative are each one
-    function generated by ``_codegen`` (once per shape of split, the
-    coefficients and ``func`` bound as closure cells), so a quadrature node
-    costs one call.  An evaluator that ``_codegen`` generated (the
-    fixed-depth Szekeres kernel) is inlined into the integrand; any other
-    ``func``, a wrapper of a generated one included, is called once per
-    node.
-
-    ``zero`` is the least float at or past the first zero of an exact
-    polynomial field in (0, x_max] (inf if it has none, and for black-box
-    fields); tau refuses intervals that reach it.
-    """
-
-    def __init__(self, field: NumericField):
-        formal = field._formal_time
-        ell, c, s, e = formal.ell, formal.c, formal.s, formal.e
+        c = coeffs[0]
+        s = [ci / c for ci in coeffs]  # S, s_0 = 1
+        self.ell, self.c, self.s = ell, c, s
+        e = jets._recip(s, ell)
+        self.laurent = {ell + 1 - i: ei / c for i, ei in enumerate(e)}
+        self.monomial = not any(s[1:])
         # black-box evaluators (no exact polynomial) carry float noise that
         # the quadrature cannot resolve below ~1e-11
         self.epsabs = 1e-13 if field.polynomial else 1e-11
         self.epsrel = 1e-12 if field.polynomial else 1e-9
         self.zero = _first_zero(s, field.x_max) if field.polynomial else math.inf
         try:
-            self.d = {j: float(dj) for j, dj in formal.laurent.items()}
+            self.d = {j: float(dj) for j, dj in self.laurent.items()}
             powers = tuple(self.d)  # ell + 1 down to 1
             self._laurent, = _laurent_factory(powers)(*self.d.values())
             if field.polynomial:
@@ -488,13 +426,17 @@ class _TauScheme:
                 assert all(ui == 0 for ui in u[: ell + 1])
                 num = [float(ui) for ui in u[ell + 1 :]]
                 den = [float(si) for si in s]
-                self.integrand, = _polynomial_integrand_factory(len(num), len(den))(float(c), *num, *den)
+                nums, dens = [f"t{i}" for i in range(len(num))], [f"s{i}" for i in range(len(den))]
+                lines = (*_horner_lines("num", "_y", nums), *_horner_lines("den", "_y", dens))
+                make = _integrand_factory(lines, "num / (c * den)", ("c", *nums, *dens), ())
+                self.integrand, = make(float(c), *num, *den)
             else:
-                # the remainder is bounded only if the evaluator's jet matches
-                # the field's through c_{2ell+1}, which a fixed-depth Szekeres
-                # field's does not
-                body = _body_of(field.func, _CALL_FIELD)
-                make = _black_box_integrand_factory(powers, *body[:4])
+                body = _body_of(field.func)
+                lines = (
+                    "_u = 1.0 / _y", "_p = 0.0", *(f"_p = _p + _d{j} * _u**{j}" for j in powers), "x = _y", *body.lines,
+                )
+                params = (*body.params, *(f"_d{j}" for j in powers))
+                make = _integrand_factory(lines, f"1.0 / ({body.result}) - _p", params, body.namespace)
                 self.integrand, = make(*body.values, *self.d.values())
         except OverflowError:
             raise DomainError(f"{field.name}: a coefficient of the split of 1/X passes the float range") from None
@@ -506,75 +448,90 @@ class _TauScheme:
         except OverflowError:
             raise DomainError(f"the time coordinate at {y!r} passes the float range") from None
 
+    @cached_property
+    def _parts(self):
+        """Generated y -> (regular part of tau-hat, 1/X-hat) at y, or None
+        without a series (a monomial field has none)."""
+        if self.monomial:
+            return None
+        ell, c = self.ell, self.c
+        # r_k = E_(ell+1+k) / c and a_k = r_k / (k+1) as ratios of ints,
+        # whose true division rounds once
+        ratios = [
+            (e.numerator * c.denominator, e.denominator * c.numerator)
+            for e in jets._recip(self.s, ell + 1 + _FORMAL_TIME_DEGREE)[ell + 1 :]
+        ]
+        try:
+            a = [num / (den * (k + 1)) for k, (num, den) in enumerate(ratios)]
+            r = [num / den for num, den in ratios]
+        except OverflowError:
+            return None
+        return _formal_time_factory(tuple(self.d), len(r))(*self.d.values(), *a, *r)[0]
 
-# the generated pieces of a split: the lines keep the float operations of
-# the closure form in tests/helpers.py (ReferenceTauScheme) and their order,
-# which the tests compare with bit for bit
+    def inverse(self, x0: float, t: float, z: float, lo: float, hi: float) -> float:
+        """The root of tau-hat(z) - tau-hat(x0) = t in (lo, hi), by Newton's
+        iteration from z, which lies there.  Returns z itself without a
+        series, or once an iterate leaves (lo, hi) (a non-finite one does)
+        or a value passes the float range.  It stops as flow_map does, after
+        at most ``_NEWTON_MAX_ITER`` steps."""
+        parts, laurent = self._parts, self._laurent
+        if parts is None:
+            return z
+        start, last = z, 0.0
+        try:
+            laurent0, (regular0, _) = laurent(x0), parts(x0)
+            for _ in range(_NEWTON_MAX_ITER):
+                regular, slope = parts(z)
+                step = ((laurent(z) - laurent0) + (regular - regular0) - t) / slope
+                new, size = z - step, abs(step)
+                if not lo < new < hi:
+                    return start
+                if _newton_done(size, last, z):
+                    return new
+                z, last = new, size
+        except (OverflowError, ZeroDivisionError):
+            return start
+        return z
 
 
-def _laurent_lines(powers):
-    """Lines that leave sum_j d_j y^(1-j)/(1-j), with d_1 log y for j = 1, in
-    ``acc``, summed from 0.0 in the order of ``powers``."""
-    terms = (f"d{j} * _log(y)" if j == 1 else f"d{j} * y ** ({1 - j}) / ({1 - j})" for j in powers)
-    return ["acc = 0.0", *(f"acc = acc + {term}" for term in terms)]
+# the generated pieces of the time coordinate: the lines keep the float
+# operations of the closure form in tests/helpers.py (ReferenceTauScheme)
+# and their order, which the tests compare with bit for bit
 
 
 @lru_cache(maxsize=64)
 def _laurent_factory(powers):
-    """Factory (*d) -> (antiderivative,): y -> the Laurent antiderivative."""
-    params = [f"d{j}" for j in powers]
+    """Factory (*d) -> (antiderivative,): y -> sum_j d_j y^(1-j)/(1-j), with
+    d_1 log y for j = 1, summed from 0.0 in the order of ``powers``."""
+    terms = (f"d{j} * _log(y)" if j == 1 else f"d{j} * y ** ({1 - j}) / ({1 - j})" for j in powers)
+    lines = ["acc = 0.0", *(f"acc = acc + {term}" for term in terms)]
     return _codegen(
-        [("antiderivative", _laurent_lines(powers), "acc")], params, [("_log", math.log)], args="y",
+        [("antiderivative", lines, "acc")], [f"d{j}" for j in powers], [("_log", math.log)], args="y",
         filename="<germres laurent>",
     )
 
 
 @lru_cache(maxsize=64)
 def _formal_time_factory(powers, n):
-    """Factory (*d, *a, *r) -> (parts,): y -> (L(y), y A(y), 1/X-hat(y)),
-    where L is the Laurent antiderivative (the same floats as the split's),
+    """Factory (*d, *a, *r) -> (parts,): y -> (y A(y), 1/X-hat(y)), where
     A(y) = sum_(k<n) a_k y^k, a_k = r_k / (k+1), by Horner's rule, and
     1/X-hat(y) = sum_j d_j y^(-j) + sum_(k<n) r_k y^k."""
     ds, As, rs = [f"d{j}" for j in powers], [f"a{k}" for k in range(n)], [f"r{k}" for k in range(n)]
     lines = [
-        *_laurent_lines(powers), *_horner_lines("reg", "y", As),
+        *_horner_lines("reg", "y", As),
         "u = 1.0 / y", "p = 0.0", *(f"p = p + d{j} * u**{j}" for j in powers), *_horner_lines("q", "y", rs),
     ]
-    return _codegen(
-        [("parts", lines, "acc, reg * y, p + q")], [*ds, *As, *rs], [("_log", math.log)], args="y",
-        filename="<germres formal time>",
-    )
+    return _codegen([("parts", lines, "reg * y, p + q")], [*ds, *As, *rs], args="y", filename="<germres formal time>")
 
 
 @lru_cache(maxsize=64)
-def _polynomial_integrand_factory(n_num, n_den):
-    """Factory (c, *num, *den) -> (integrand,): (s, top) -> r(y) y at
-    y = top exp(s), where r = num(y) / (c den(y)), both by Horner's rule."""
-    nums, dens = [f"t{i}" for i in range(n_num)], [f"s{i}" for i in range(n_den)]
-    lines = ["y = top * _exp(s)", *_horner_lines("num", "y", nums), *_horner_lines("den", "y", dens)]
+def _integrand_factory(lines, result, params, namespace):
+    """Factory (*values of ``params``) -> (integrand,): (s, top) -> r(y) y
+    at y = top exp(s), held in ``_y``, where r(y) is ``result`` after the
+    statements ``lines``.  Generated once per body; the names of an
+    evaluator's body inlined there must not start with an underscore."""
     return _codegen(
-        [("integrand", lines, "num / (c * den) * y")], ["c", *nums, *dens], [("_exp", math.exp)],
-        args="s, top", filename="<germres integrand>",
-    )
-
-
-# a black-box field's evaluator that records no body: one call per node
-_CALL_FIELD = _Body((), "func(x)", ("func",), (), (), None)
-
-
-@lru_cache(maxsize=64)
-def _black_box_integrand_factory(powers, lines, result, params, namespace):
-    """Factory (*values of ``params``, *d) -> (integrand,): (s, top) -> r(y) y
-    at y = top exp(s), where r = 1/X(y) - sum_j d_j y^(-j), summed from 0.0
-    in the order of ``powers``, and X(y) is the evaluator's body (``lines``
-    then ``result``) run on x = y, inlined.  Generated once per body; body
-    names must not start with an underscore."""
-    lines = [
-        "_y = _top * _exp(_s)", "_u = 1.0 / _y", "_p = 0.0", *(f"_p = _p + _d{j} * _u**{j}" for j in powers),
-        "x = _y", *lines,
-    ]
-    return _codegen(
-        [("integrand", lines, f"(1.0 / ({result}) - _p) * _y")], [*params, *(f"_d{j}" for j in powers)],
+        [("integrand", ["_y = _top * _exp(_s)", *lines], f"({result}) * _y")], params,
         [*namespace, ("_exp", math.exp)], args="_s, _top", filename="<germres integrand>",
     )
 
@@ -647,17 +604,17 @@ def tau(field: NumericField, x0: float, x: float) -> float:
     field.check_point(x)
     if x == x0:
         return 0.0
-    sch = field._tau_scheme
+    formal = field._formal_time
     top = max(x0, x)
-    if top >= sch.zero:
-        raise DomainError(f"{field.name}: the field vanishes at {sch.zero:.17g}, inside (0, {top}]")
-    main = sch.antiderivative(x) - sch.antiderivative(x0)
-    if field.polynomial and field._formal_time.monomial:
+    if top >= formal.zero:
+        raise DomainError(f"{field.name}: the field vanishes at {formal.zero:.17g}, inside (0, {top}]")
+    main = formal.antiderivative(x) - formal.antiderivative(x0)
+    if field.polynomial and formal.monomial:
         # the exact remainder is 0: the quadrature of the zero integrand
         # gives the zero signed as (x - x0) / X
         return main + math.copysign(0.0, (x - x0) * field.leading)
     try:
-        corr = qagse(sch.integrand, math.log(x0 / top), math.log(x / top), top, sch.epsabs, sch.epsrel, 200)[0]
+        corr = qagse(formal.integrand, math.log(x0 / top), math.log(x / top), top, formal.epsabs, formal.epsrel, 200)[0]
     except ZeroDivisionError:
         raise DomainError(f"{field.name}: the field vanishes in floating point inside (0, {top}]") from None
     return main + corr
@@ -691,11 +648,11 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
     (0, x_max], and :class:`DomainError` when t is not finite.
     """
     field.check_point(x0)
-    if not math.isfinite(t):
+    if not _finite(t):
         raise DomainError(f"time must be finite, not {t}")
     if t == 0.0:
         return x0
-    target = float(t)
+    target, formal = float(t), field._formal_time
 
     # tau is strictly monotone: decreasing for contracting fields (X < 0),
     # increasing for expanding ones.  So g has the sign of g(x0) = -t
@@ -713,7 +670,7 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
         lo, hi = 0.0, x0
     else:
         lo, hi = x0, field.x_max
-        zero = field._tau_scheme.zero
+        zero = formal.zero
         if hi >= zero:
             # the flow approaches a zero of the field but takes infinite
             # time to reach it: halve the gap to it, as toward 0
@@ -728,7 +685,7 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
         elif not (tau(field, x0, hi) - target) * sign <= 0:
             raise ReachabilityError(f"time {t} exceeds the reachable range within (0, {field.x_max}]")
     z = guess if lo < guess < hi else hi / 2 if lo == 0.0 else 0.5 * (lo + hi)
-    z = field._formal_time.inverse(x0, target, z, lo, hi)
+    z = formal.inverse(x0, target, z, lo, hi)
 
     # last: the size of the Newton step that led to z, 0 after a halving, a
     # bisection or the start
@@ -763,8 +720,7 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
                     break
         z = new
 
-    sch = field._tau_scheme
-    bound = TAU_ABS_TOL * max(1.0, abs(sch.antiderivative(x0)), abs(sch.antiderivative(z)))
+    bound = TAU_ABS_TOL * max(1.0, abs(formal.antiderivative(x0)), abs(formal.antiderivative(z)))
     if abs(gz) > bound:
         raise NumericsError(f"time-map residual {gz:.3e} exceeds {bound:.3e}")
     return root
@@ -846,7 +802,7 @@ def szekeres_field(germ: GermSpec, x: float, n_max: int = 100_000, tol: float = 
     """
     _check_szekeres(germ, n_max)
     germ.check_point(x)
-    if not math.isfinite(tol):
+    if not _finite(tol):
         raise DomainError(f"tol must be finite, not {tol}")
     if tol <= 0:
         return SzekeresResult(value=_szekeres_kernel(germ, n_max)(x), iterations=n_max, converged=False)
@@ -937,10 +893,6 @@ class ResitEstimate:
     x0: float
 
 
-# the increment of a germ whose increment records no body: one call per step
-_CALL_INCREMENT = _Body((), "_inc(x)", ("_inc",), (), (), None)
-
-
 @lru_cache(maxsize=64)
 def _orbit_kernel(lines, result, params, namespace):
     """Factory (*values of ``params``) -> (orbit,), where orbit(x, _c, _m)
@@ -974,7 +926,7 @@ def _orbit_values(germ: GermSpec, x0: float, ns: Sequence[int]):
     ns = sorted(set(ns))
     if ns[-1] > MAX_ORBIT_STEPS:
         raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {ns[-1]}")
-    body = _body_of(germ.increment, _CALL_INCREMENT)
+    body = _body_of(germ.increment)
     orbit, = _orbit_kernel(*body[:4])(*body.values)
     x, comp = float(x0), 0.0
     out = {}
@@ -994,7 +946,7 @@ def _check_orbit_germ(germ: GermSpec, x0: float):
     germ.check_point(x0)
     if germ.ell < 1:
         raise DomainError(f"flatness order ell must be at least 1, not {germ.ell}")
-    if not (math.isfinite(germ.a) and germ.a > 0):
+    if not (_finite(germ.a) and germ.a > 0):
         raise DomainError(f"leading magnitude a must be finite and positive, not {germ.a}")
 
 
@@ -1100,7 +1052,7 @@ def contour_residue(f: Callable[[complex], complex], radius: float, points: int 
     """(1/2 pi i) * integral over |z| = radius of dz / (z - f(z)), by the
     trapezoidal rule on equispaced points (spectrally accurate here), with
     the real and imaginary parts of the sum each rounded once (math.fsum)."""
-    if not (math.isfinite(radius) and radius > 0):
+    if not (_finite(radius) and radius > 0):
         raise DomainError(f"radius must be finite and positive, not {radius}")
     if points < 8:
         raise DomainError("need at least 8 sample points")

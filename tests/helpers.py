@@ -295,16 +295,13 @@ class ReferenceTauScheme:
         import math
 
         from germres import jets
-        from germres.numerics import DomainError, _first_zero
+        from germres.numerics import DomainError
 
         ell = field.ell
         coeffs = [Fraction(field.leading)] if field.jet is None else field.jet.dense(field.jet.order)[ell + 1 :]
         c = coeffs[0]
         s = [ci / c for ci in coeffs]
         e = jets._recip(s, ell)
-        self.epsabs = 1e-13 if field.polynomial else 1e-11
-        self.epsrel = 1e-12 if field.polynomial else 1e-9
-        self.zero = _first_zero(s, field.x_max) if field.polynomial else math.inf
         try:
             self.d = {ell + 1 - i: float(ei / c) for i, ei in enumerate(e)}
             if field.polynomial:
@@ -354,12 +351,14 @@ class ReferenceTauScheme:
 
 
 def with_reference_split(field, func=None):
-    """A copy of ``field`` (evaluated by ``func`` if given) whose tau split is
-    the ReferenceTauScheme, put where the package caches its own split."""
+    """A copy of ``field`` (evaluated by ``func`` if given) whose time
+    coordinate takes its rounded Laurent part, quadrature integrand and
+    Laurent antiderivative from the ReferenceTauScheme."""
     import dataclasses
 
     copy = dataclasses.replace(field) if func is None else dataclasses.replace(field, func=func)
-    copy.__dict__["_tau_scheme"] = ReferenceTauScheme(copy)
+    ref, formal = ReferenceTauScheme(copy), copy._formal_time
+    formal.d, formal.integrand, formal.antiderivative = ref.d, ref.integrand, ref.antiderivative
     return copy
 
 

@@ -45,7 +45,7 @@ def port(f, a, b, arg, epsabs, epsrel, limit=200):
 def tau_integrals(field, rng, count, lo=1e-4):
     """(integrand, a, b, top, epsabs, epsrel) of tau on drawn intervals,
     half of them toward 0 and half away from it."""
-    sch = field._tau_scheme
+    sch = field._formal_time
     hi = min(field.x_max, sch.zero * 0.999, 0.5)
     out = []
     for k in range(count):
@@ -80,7 +80,7 @@ def test_quadrature_matches_quad_toward_the_zero_of_a_field():
     # only the epsilon algorithm resolves; z = 1/3 - 10^(-k/4) for
     # k = 2..59 (k = 1 puts z below 0), from 0.1 and back
     field = field_from_coeffs("e", {2: 1, 3: -3})
-    sch = field._tau_scheme
+    sch = field._formal_time
     iers = set()
     for k in range(2, 60):
         z = 1 / 3 - 10 ** (-k / 4)

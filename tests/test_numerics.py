@@ -98,6 +98,25 @@ def test_flow_map_refuses_a_time_that_is_not_finite(t):
             flow_map(catalog_field(name), 0.25, t)
 
 
+HUGE = 10**400  # an int past the float range, which math.isfinite cannot take
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: flow_map(catalog_field("neg_x2"), 0.25, HUGE), "time must be finite"),
+        (lambda: szekeres_field(moebius(), 0.1, tol=HUGE), "tol must be finite"),
+        (lambda: estimate_resit(dataclasses.replace(moebius(), a=HUGE), 0.1, [10, 100]), "a must be finite"),
+        (lambda: orbit_bound_check(dataclasses.replace(moebius(), a=HUGE), 0.1, 100), "a must be finite"),
+        (lambda: contour_residue(lambda z: z - z * z, HUGE), "radius must be finite"),
+    ],
+    ids=["flow_map", "szekeres_field", "estimate_resit", "orbit_bound_check", "contour_residue"],
+)
+def test_a_huge_int_is_refused_as_out_of_domain(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_tau_residual_contract():
     for tag in ("neg_x2", "neg_x2_x3", "neg_x3"):
         X = catalog_field(tag)
@@ -132,19 +151,42 @@ def test_tau_against_high_precision_quadrature():
             assert abs(ours - ref) <= rel * max(1.0, abs(ref))
 
 
-def test_tau_split_built_once_per_field():
+def test_tau_split_built_once_per_field(monkeypatch):
+    built, init = [], numerics._FormalTime.__init__
+
+    def counted(self, field):
+        built.append(field)
+        init(self, field)
+
+    monkeypatch.setattr(numerics._FormalTime, "__init__", counted)
     X = NumericField(name="bb", func=lambda y: -(y**2) - y**3, ell=1, leading=-1.0, jet=FieldJet.of(-1, -1))
-    split = X._tau_scheme
+    split = X._formal_time
     assert split.d == {2: -1.0, 1: 1.0}  # 1/X = -1/y^2 + 1/y - 1 + ...
     tau(X, 0.4, 0.01)
-    assert X._tau_scheme is split
+    assert X._formal_time is split
     # a replaced evaluator gets a split of its own and is the one integrated
     Y = dataclasses.replace(X, func=lambda y: -(y**2) - 2 * y**3)
-    assert Y._tau_scheme is not split
+    assert Y._formal_time is not split
     # 1/(y^2 (1 + 2y)) = 1/y^2 - 2/y + 4/(1 + 2y)
     ref = 1 / 0.01 - 1 / 0.4 + 2 * math.log(0.01 / 0.4 * (1 + 2 * 0.4) / (1 + 2 * 0.01))
     assert abs(tau(Y, 0.4, 0.01) - ref) <= 1e-9 * abs(ref)
     assert abs(tau(X, 0.4, 0.01) - ref) > 1e-3
+    assert built == [X, Y]
+    # one per field across tau, flow_map toward 0 (the inverse and the
+    # residual bound) and away from it (the zero of y^2 - 3y^3 too), h and Dh
+    built.clear()
+    Z = szekeres_numeric_field(moebius(), 10)
+    E, P = field_from_coeffs("e", {2: 1, 3: -3}), field_from_coeffs("p", {2: 1})
+    for W, sign in ((Z, 1), (E, -1)):
+        tau(W, 0.1, 0.01)
+        flow_map(W, 0.1, sign * 5.0)
+        flow_map(W, 0.1, -sign * 0.5)
+    h = canonical_conjugacy(E, P, 0.1)
+    h(0.01), h.deriv(0.01)
+    assert [id(W) for W in built] == [id(Z), id(E), id(P)]
+    fresh = dataclasses.replace(Z)
+    tau(fresh, 0.1, 0.01)
+    assert built[-1] is fresh and fresh._formal_time is not Z._formal_time and len(built) == 4
 
 
 def moebius_szekeres_tau(n, x0, x):
@@ -296,7 +338,7 @@ def test_time_coordinate_answers_are_those_of_the_first_split(name):
     assert sum(isinstance(a, str) for a in ours) >= len(ours) - 2, ours
     # and node by node: the integrand over [log(1e-5 / top), 0], the
     # antiderivative from 1e-5 to top
-    sch, ref = X._tau_scheme, X_ref._tau_scheme
+    sch, ref = X._formal_time, X_ref._formal_time
     top = min(0.1, X.x_max)
     nodes = [k / 40 * math.log(1e-5 / top) for k in range(41)]
     assert [_outcome(sch.integrand, s, top) for s in nodes] == [_outcome(ref.integrand, s, top) for s in nodes]
@@ -1205,7 +1247,7 @@ def test_a_szekeres_field_carries_its_exact_generating_jet():
     # only tames the quadrature: tau still integrates the same evaluator
     X = szekeres_numeric_field(quadratic(), 10)
     Y = szekeres_numeric_field(dataclasses.replace(quadratic(), jet_fn=None), 10)
-    assert Y.jet == FieldJet.of(-1) and Y._tau_scheme.d == {2: -1.0, 1: 0.0} != X._tau_scheme.d
+    assert Y.jet == FieldJet.of(-1) and Y._formal_time.d == {2: -1.0, 1: 0.0} != X._formal_time.d
     ref = tau(X, 0.1, 1e-3)
     assert abs(tau(Y, 0.1, 1e-3) - ref) <= 1e-9 * abs(ref)
 
@@ -1219,7 +1261,7 @@ def test_split_of_a_non_dyadic_generator_jet_is_correctly_rounded():
     jet = Jet.of(1, F(-1, 3), F(1, 5))
     X = szekeres_numeric_field(germ_from_jet(jet, x_max=0.3), 10)
     c2, c3 = germ_to_field(jet).coeffs
-    assert X._tau_scheme.d == {2: float(1 / c2), 1: float(-c3 / c2**2)} == {2: -3.0, 1: -0.8}
+    assert X._formal_time.d == {2: float(1 / c2), 1: float(-c3 / c2**2)} == {2: -3.0, 1: -0.8}
 
 
 def test_a_replaced_evaluator_keeps_a_polynomial_split():
@@ -1228,8 +1270,8 @@ def test_a_replaced_evaluator_keeps_a_polynomial_split():
     X = field_from_coeffs("z", {2: F(-4, 7), 3: 9})  # vanishes at 4/63
     Y = dataclasses.replace(X, func=lambda y: X.func(y))
     assert Y.polynomial and Y.jet == X.jet
-    split = Y._tau_scheme
-    assert split.zero == X._tau_scheme.zero and F(4, 63) <= F(split.zero) < 0.0635
+    split = Y._formal_time
+    assert split.zero == X._formal_time.zero and F(4, 63) <= F(split.zero) < 0.0635
     assert (split.epsabs, split.epsrel) == (1e-13, 1e-12)
     assert tau(Y, 0.06, 0.003) == tau(X, 0.06, 0.003)
     with pytest.raises(DomainError, match="vanishes"):
@@ -1242,12 +1284,12 @@ def test_field_from_jet_with_an_evaluator_splits_by_the_given_jet():
 
     X = field_from_jet(FieldJet.of(-1, -1), "bb", func=func)
     assert (X.func, X.ell, X.leading, X.jet, X.polynomial) == (func, 1, -1.0, FieldJet.of(-1, -1), False)
-    split = X._tau_scheme
+    split = X._formal_time
     assert split.d == {2: -1.0, 1: 1.0} and split.zero == math.inf and split.epsabs == 1e-11
     ref = 1 / 0.01 - 1 / 0.4 + math.log(0.01 / 0.4 * (1 + 0.4) / (1 + 0.01))
     assert abs(tau(X, 0.4, 0.01) - ref) <= 1e-9 * abs(ref)
     # a jet with another residue gives another Laurent part for the same evaluator
-    assert field_from_jet(FieldJet.of(-1, 0), "bb", func=func)._tau_scheme.d == {2: -1.0, 1: 0.0}
+    assert field_from_jet(FieldJet.of(-1, 0), "bb", func=func)._formal_time.d == {2: -1.0, 1: 0.0}
 
 
 def test_a_split_past_the_float_range_is_a_domain_error():
@@ -1293,9 +1335,8 @@ def test_formal_time_is_the_expansion_of_one_over_the_field():
         }
         padded = FieldJet.from_dense(X.jet.dense(2 * ell + 1))
         assert formal.laurent[1] == -reduce_field(padded)[1]
-        # L(y), y A(y) and 1/X-hat(y) at y = 1/8, from the rounded coefficients
-        lau, reg, slope = formal._parts(0.125)
-        assert lau == X._tau_scheme.antiderivative(0.125)
+        # y A(y) and 1/X-hat(y) at y = 1/8, from the rounded coefficients
+        reg, slope = formal._parts(0.125)
         r = [float(coeff[k]) for k in range(_FORMAL_TIME_DEGREE + 1)]
         assert math.isclose(reg, sum(rk * 0.125 ** (k + 1) / (k + 1) for k, rk in enumerate(r)), rel_tol=1e-14)
         assert math.isclose(slope, float(series.subs(y, sp.Rational(1, 8))), rel_tol=1e-14)
@@ -1362,7 +1403,7 @@ def test_tau_on_a_monomial_field_needs_no_quadrature(monkeypatch):
     ]
 
     def quadrature_tau(X, x0, x):
-        sch, top = X._tau_scheme, max(x0, x)
+        sch, top = X._formal_time, max(x0, x)
         corr = _solvers.qagse(sch.integrand, math.log(x0 / top), math.log(x / top), top, sch.epsabs, sch.epsrel, 200)[0]
         return (sch.antiderivative(x) - sch.antiderivative(x0)) + corr
 
@@ -1432,7 +1473,7 @@ def test_a_counting_wrapper_on_a_szekeres_evaluator_counts_every_node():
 
     increment, steps = counting(moebius().increment)
     X = szekeres_numeric_field(dataclasses.replace(moebius(), increment=increment), 10)
-    sch = X._tau_scheme
+    sch = X._formal_time
     nodes = qagse(sch.integrand, math.log(1e-3 / 0.1), 0.0, 0.1, sch.epsabs, sch.epsrel, 200)[2]
     assert nodes % 21 == 0 and steps == [10 * nodes]
     ref = tau(X, 0.1, 1e-3)

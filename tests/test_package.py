@@ -1,6 +1,7 @@
 """Package surface: no part of the package, the CLI verbs included, loads
 numpy or scipy, and every verb runs where numpy cannot be imported."""
 
+import ast
 import json
 import os
 import pathlib
@@ -120,3 +121,29 @@ def test_generated_code_is_compiled_in_one_place():
     package = pathlib.Path(germres.__file__).parent
     sites = [path.name for path in sorted(package.glob("*.py")) for line in path.read_text().splitlines() if "exec(" in line]
     assert sites == ["numerics.py"]
+
+
+def test_no_private_name_is_left_unreferenced():
+    # every top-level private def, class or assignment of the package is
+    # read somewhere in it besides its definition, so a helper that lost
+    # its last caller does not linger
+    package = pathlib.Path(germres.__file__).parent
+    defined, used = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.name, t.id) for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    private = [(module, name) for module, name in defined if name.startswith("_") and not name.startswith("__")]
+    assert len(private) > 20
+    assert [(module, name) for module, name in private if name not in used] == []
