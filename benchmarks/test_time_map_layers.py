@@ -1,8 +1,11 @@
 """Layer benchmarks of the time coordinate ``tau``, the time map
 ``flow_map``, the median canonical-conjugacy request of the
-szekeres-conjugacy workload, and the fixed-depth Szekeres kernel that the
+szekeres-conjugacy workload, the fixed-depth Szekeres kernel that the
 Szekeres fields evaluate at every quadrature node, alone and through
-``szekeres_field``.
+``szekeres_field``, and the converging ``szekeres_field`` loop of the CLI's
+``szekeres`` verb.  The Szekeres loops run on the germs of the orbit
+benchmarks (``test_orbit_layers.GERMS``): three whose increment the loops
+inline and one opaque closure that they call.
 
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-disable   # smoke run
@@ -19,6 +22,7 @@ import pytest
 
 from germres import catalog, flows, numerics
 from germres.catalog import szekeres_numeric_field
+from test_orbit_layers import GERMS
 
 FIELDS = {
     # a monomial: its remainder is 0, so tau is the closed form alone
@@ -107,10 +111,20 @@ def test_szekeres_field_fixed_depth(benchmark):
     assert result.iterations == 100 and not result.converged
 
 
+@pytest.mark.parametrize("germ", GERMS)
 @pytest.mark.parametrize("depth", [10, 100])
-def test_szekeres_kernel(benchmark, depth):
-    """One evaluation of the depth-n Szekeres kernel of moebius, as a
+def test_szekeres_kernel(benchmark, depth, germ):
+    """One evaluation of the depth-n Szekeres kernel of a germ, as a
     Szekeres field calls it at each quadrature node."""
-    evaluate = numerics._szekeres_kernel(catalog.moebius(), depth)
+    evaluate = numerics._szekeres_kernel(GERMS[germ](), depth)
     value = benchmark(evaluate, 0.05)
     assert value < 0
+
+
+@pytest.mark.parametrize("germ", GERMS)
+def test_szekeres_field_converging(benchmark, germ):
+    """szekeres_field at 0.05 to tol 1e-12, as the CLI's szekeres verb runs
+    it by default: 6,447 steps on the opaque closure (ell = 2), about
+    50,000 on the others."""
+    result = benchmark(numerics.szekeres_field, GERMS[germ](), 0.05, tol=1e-12)
+    assert result.converged and result.value < 0

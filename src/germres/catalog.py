@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .jets import CoefficientError, FieldJet, Jet, OrderError, read_rational
 from .normal_form import tangency_order
-from .numerics import DomainError, GermSpec, NumericField, _codegen, _horner, _szekeres_kernel
+from .numerics import DomainError, GermSpec, NumericField, _codegen, _horner, _shown, _szekeres_kernel
 from .numerics import field_from_coeffs, field_from_jet
 
 
@@ -259,7 +259,7 @@ def szekeres_numeric_field(germ: GermSpec, n: int = 10_000) -> NumericField:
     germ must be contracting and the depth ``n`` from 1 to MAX_ORBIT_STEPS;
     both are checked here, before any evaluation."""
     if n < 1:
-        raise DomainError(f"the Szekeres depth n must be at least 1, not {n}")
+        raise DomainError(f"the Szekeres depth n must be at least 1, not {_shown(n)}")
     func = _szekeres_kernel(germ, n)
     if germ.jet_fn is None:
         X = FieldJet.from_dense([0] * (germ.ell + 1) + [-Fraction(germ.a)])

@@ -24,8 +24,8 @@ product, quotient, power and log rules applied literally (no algebraic
 simplification), so signed zeros and exceptions are those of the rules.
 ``derivative(x)`` runs every statement; ``value(x)`` runs the value
 statements only, and ``increment(x)`` runs them with ``- x`` applied to
-the result, the same float operation as ``value(x) - x``; the orbit loop
-of ``numerics`` inlines that body.
+the result, the same float operation as ``value(x) - x``; the orbit and
+Szekeres loops of ``numerics`` inline that body.
 Being flat, the source stays within the compiler's limits at any nesting
 the parser allows.  No text of the formula reaches it: the only pieces are
 ``repr(float(c))`` of each literal c, ``repr`` of integer exponents, the

@@ -3,9 +3,9 @@
 The operations here are the numeric counterparts of the exact jet algebra:
 
 * ``szekeres_field`` -- the iterative limit (f^{n+1}(x) - f^n(x)) / Df^n(x)
-  recovering the generating vector field of a contracting germ; at a fixed
-  depth n it is ``_szekeres_kernel(germ, n)``, the generated evaluator of
-  the catalog's Szekeres fields, built and checked once per (germ, n);
+  recovering the generating vector field of a contracting germ, and
+  ``_szekeres_kernel(germ, n)``, the catalog's Szekeres fields at a fixed
+  depth n: two loops generated from one template per increment body;
 * ``tau`` / ``flow_map`` -- the time coordinate tau(x) = int_{x0}^x dy/X(y)
   and its inverse by Newton's iteration, giving f^t(x0) for a nonvanishing
   field;
@@ -84,15 +84,14 @@ TAU_ABS_TOL = 1e-10
 MAX_CONTOUR_POINTS = 1 << 20
 
 # orbit loops run in Python; per step, on a 2-vCPU Xeon VM with Python 3.11,
-# the estimate_resit loop takes ~0.08 us on `quadratic`, ~0.13 us on a
-# germ_from_jet polynomial, ~0.23 us on an --expr germ and ~0.23 us on an
-# increment it has to call; the generated fixed-depth Szekeres kernel takes
-# ~0.13 us on `quadratic`, ~0.20 us on `moebius`, ~0.25 us on a
-# germ_from_jet polynomial, ~0.40 us on `ramified_flow(2, 1)` (an exp and a
-# log1p per derivative) and ~0.7 us on an --expr germ (x - x^2 + x^3/2 +
-# x^4, whose derivative runs every statement), and the converging
-# szekeres_field loop (tol > 0) ~0.06 us more.  So this many steps take
-# 1-7 s; longer orbits are refused before the loop starts
+# the estimate_resit loop takes ~0.08 us on `quadratic`, ~0.16 us on a
+# germ_from_jet polynomial and ~0.25 us on an --expr germ or an increment it
+# has to call; the fixed-depth Szekeres kernel takes ~0.12 us on
+# `quadratic`, ~0.22 us on `moebius`, ~0.30 us on a germ_from_jet
+# polynomial, ~0.47 us on `ramified_flow(2, 1)` (an exp and a log1p per
+# derivative) and ~0.75 us on an --expr germ (x - x^2 + x^3/2 + x^4, whose
+# derivative runs every statement), and the converging loop up to ~0.08 us
+# more.  So this many steps take 1-8 s; longer orbits are refused first
 MAX_ORBIT_STEPS = 10**7
 
 # an exact polynomial field's first zero is found by a Sturm search over the
@@ -151,6 +150,13 @@ def _finite(v) -> bool:
         return False
 
 
+def _shown(v) -> str:
+    """str(v) for a refusal's message; an int past the float range is named
+    by its bit length, since one of more than 4300 digits cannot be printed."""
+    huge = isinstance(v, int) and not _finite(v)
+    return f"{'a negative' if v < 0 else 'an'} int of {v.bit_length()} bits" if huge else str(v)
+
+
 # ---------------------------------------------------------------------------
 # germ and field descriptions
 
@@ -164,8 +170,8 @@ class GermSpec:
     ``orientation``.  ``increment`` returns f(x) - x; the catalog's closed
     forms compute it without cancellation, but the CLI's ``--expr`` germs
     compute f(x) - x as written, so near 0 it keeps only the absolute
-    accuracy of f(x).  The orbit loop inlines an increment that
-    ``_codegen`` generated and calls any other one at every step.
+    accuracy of f(x).  The orbit and Szekeres loops inline an increment
+    that ``_codegen`` generated and call any other one at every step.
     ``orbit``, when present, is an exact closed form
     (x0, n) -> f^n(x0); ``jet_fn``, when present, returns the exact jet of
     the germ at a requested order.
@@ -247,7 +253,7 @@ def _codegen(functions, params=(), namespace=(), args="x", filename="<germres>")
     from one source.  The params become closure cells and ``namespace`` the
     globals, with no builtins, so no value passes through the source text.
     Each function made records its body as ``_germres_body`` (a ``_Body``),
-    which the orbit loop inlines."""
+    which the orbit and Szekeres loops and the quadrature integrand inline."""
     functions = tuple((name, tuple(lines), result) for name, lines, result in functions)
     source = [f"def factory({', '.join(params)}):"]
     for name, lines, result in functions:
@@ -427,16 +433,16 @@ class _FormalTime:
                 num = [float(ui) for ui in u[ell + 1 :]]
                 den = [float(si) for si in s]
                 nums, dens = [f"t{i}" for i in range(len(num))], [f"s{i}" for i in range(len(den))]
-                lines = (*_horner_lines("num", "_y", nums), *_horner_lines("den", "_y", dens))
+                lines = (*_horner_lines("num", "__y", nums), *_horner_lines("den", "__y", dens))
                 make = _integrand_factory(lines, "num / (c * den)", ("c", *nums, *dens), ())
                 self.integrand, = make(float(c), *num, *den)
             else:
                 body = _body_of(field.func)
                 lines = (
-                    "_u = 1.0 / _y", "_p = 0.0", *(f"_p = _p + _d{j} * _u**{j}" for j in powers), "x = _y", *body.lines,
+                    "__u = 1.0 / __y", "__p = 0.0", *(f"__p = __p + __d{j} * __u**{j}" for j in powers), *body.lines,
                 )
-                params = (*body.params, *(f"_d{j}" for j in powers))
-                make = _integrand_factory(lines, f"1.0 / ({body.result}) - _p", params, body.namespace)
+                params = (*body.params, *(f"__d{j}" for j in powers))
+                make = _integrand_factory(lines, f"1.0 / ({body.result}) - __p", params, body.namespace)
                 self.integrand, = make(*body.values, *self.d.values())
         except OverflowError:
             raise DomainError(f"{field.name}: a coefficient of the split of 1/X passes the float range") from None
@@ -527,12 +533,12 @@ def _formal_time_factory(powers, n):
 @lru_cache(maxsize=64)
 def _integrand_factory(lines, result, params, namespace):
     """Factory (*values of ``params``) -> (integrand,): (s, top) -> r(y) y
-    at y = top exp(s), held in ``_y``, where r(y) is ``result`` after the
-    statements ``lines``.  Generated once per body; the names of an
-    evaluator's body inlined there must not start with an underscore."""
+    at y = top exp(s), held in ``__y`` and ``x``, where r(y) is ``result``
+    after the statements ``lines``.  Generated once per body; the names in
+    an evaluator's body (the Szekeres kernel's) must not start with "__"."""
     return _codegen(
-        [("integrand", ["_y = _top * _exp(_s)", *lines], f"({result}) * _y")], params,
-        [*namespace, ("_exp", math.exp)], args="_s, _top", filename="<germres integrand>",
+        [("integrand", ["x = __y = __top * __exp(__s)", *lines], f"({result}) * __y")], params,
+        [*namespace, ("__exp", math.exp)], args="__s, __top", filename="<germres integrand>",
     )
 
 
@@ -649,7 +655,7 @@ def flow_map(field: NumericField, x0: float, t: float) -> float:
     """
     field.check_point(x0)
     if not _finite(t):
-        raise DomainError(f"time must be finite, not {t}")
+        raise DomainError(f"time must be finite, not {_shown(t)}")
     if t == 0.0:
         return x0
     target, formal = float(t), field._formal_time
@@ -795,81 +801,74 @@ def szekeres_field(germ: GermSpec, x: float, n_max: int = 100_000, tol: float = 
 
     The derivative of the n-th iterate is accumulated as a running product
     of Df along the orbit.  Stops when successive values differ by less
-    than ``tol``; otherwise returns the n_max value with converged=False.
-    With ``tol`` not positive nothing can converge, and the fixed-depth
-    evaluator ``_szekeres_kernel(germ, n_max)`` gives the value.  A
-    non-finite ``tol`` is refused.
+    than ``tol`` (one that is not positive never does; a non-finite one is
+    refused); otherwise returns the n_max value with converged=False.
     """
-    _check_szekeres(germ, n_max)
-    germ.check_point(x)
     if not _finite(tol):
-        raise DomainError(f"tol must be finite, not {tol}")
-    if tol <= 0:
-        return SzekeresResult(value=_szekeres_kernel(germ, n_max)(x), iterations=n_max, converged=False)
-    increment, deriv = germ.increment, germ.deriv
-    product, value = 1.0, None
-    for n in range(n_max):
-        step = increment(x)
-        prev, value = value, step / product
-        if prev is not None and abs(value - prev) < tol:
-            return SzekeresResult(value=value, iterations=n, converged=True)
-        product *= deriv(x)
-        if not (1e-280 < abs(product) < 1e280):
-            raise _product_left_range(n, product)
-        x = x + step
-    return SzekeresResult(value=value, iterations=n_max, converged=False)
-
-
-def _check_szekeres(germ, n):
-    if not germ.is_contracting():
-        raise DomainError(f"{germ.name}: szekeres_field needs a contracting germ")
-    if n < 0:
-        raise DomainError(f"n_max must be at least 0, not {n}")
-    if n > MAX_ORBIT_STEPS:
-        raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {n}")
-
-
-def _product_left_range(n, product):
-    return ProductUnderflow(f"derivative product left the floating range at n={n} (|P|={abs(product):.3e})")
+        raise DomainError(f"tol must be finite, not {_shown(tol)}")
+    value, steps = _szekeres_loops(germ, n_max, tol)[1](x)
+    return SzekeresResult(value=value, iterations=steps, converged=steps < n_max)
 
 
 def _szekeres_kernel(germ: GermSpec, n: int) -> Callable[[float], Optional[float]]:
-    """The depth-n Szekeres field of a contracting germ, as the evaluator
-    x -> (f^n(x) - f^(n-1)(x)) / Df^(n-1)(x) (None at n = 0).
-
-    The germ and the depth are checked here, once; an evaluation checks
-    only its point, then runs n steps that carry the orbit point and the
-    derivative product, calling ``germ.increment`` and ``germ.deriv`` once
-    each per step, and divides once, after the last step.  The evaluator is
-    generated by ``_codegen``, so a black-box split inlines it into its
-    quadrature integrand.
-    """
-    _check_szekeres(germ, n)
-    szekeres, = _szekeres_factory()(germ.x_max, germ.name, germ.increment, germ.deriv, range(n))
-    return szekeres
+    """The depth-n Szekeres field of a contracting germ, as the generated
+    evaluator x -> (f^n(x) - f^(n-1)(x)) / Df^(n-1)(x) (None at n = 0),
+    which a black-box split inlines into its quadrature integrand."""
+    return _szekeres_loops(germ, n)[0]
 
 
-@lru_cache(maxsize=1)
-def _szekeres_factory():
-    """Factory (x_max, name, increment, deriv, steps) -> (szekeres,); abs()
-    is called only for a product outside the positive range."""
-    lines = [
-        "if not 0.0 < x <= x_max:",
-        "    raise outside(name, x, x_max)",
-        "product = last = 1.0",
-        "step = None",
-        "for k in steps:",
-        "    step = increment(x)",
-        "    last = product",
-        "    product *= deriv(x)",
-        "    if not (1e-280 < product < 1e280) and not (1e-280 < abs(product) < 1e280):",
-        "        raise left_range(k, product)",
-        "    x = x + step",
-    ]
+def _szekeres_loops(germ: GermSpec, n: int, tol: float = 0.0):
+    """The fixed-depth and converging loops of ``_szekeres_factory`` for a germ
+    and a depth n, both checked here, once: an evaluation checks its point."""
+    if not germ.is_contracting():
+        raise DomainError(f"{germ.name}: szekeres_field needs a contracting germ")
+    if n < 0:
+        raise DomainError(f"n_max must be at least 0, not {_shown(n)}")
+    if n > MAX_ORBIT_STEPS:
+        raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {_shown(n)}")
+    body = _body_of(germ.increment)
+    return _szekeres_factory(*body[:4])(*body.values, germ.x_max, germ.name, germ.deriv, range(n), tol)
+
+
+@lru_cache(maxsize=64)
+def _szekeres_factory(lines, result, params, namespace):
+    """Factory (*values of ``params``, x_max, name, deriv, steps, tol) ->
+    (szekeres, converge), generated once per increment body.  Both check the
+    point, then per k in ``steps`` (range(n)) run the body (``lines``, then
+    ``result``; its names must not start with an underscore), inlined as in
+    ``_orbit_kernel``, product *= Df(x), a call, refused once |product|
+    leaves (1e-280, 1e280), and x = x + step.  ``szekeres`` divides once,
+    after the last step (None at n = 0); ``converge`` divides at every step
+    and returns (value, k) at the first k > 0 whose value is within ``tol``
+    of the last, else (value, n)."""
+
+    def loop(keep):
+        return [
+            "if not 0.0 < x <= _x_max:",
+            "    raise _outside(_name, x, _x_max)",
+            "_product = 1.0",
+            "_step = _value = None",
+            "for _k in _steps:",
+            *(f"    {line}" for line in lines),
+            f"    _step = {result}",
+            *(f"    {line}" for line in keep),
+            "    _product *= _deriv(x)",
+            "    if not (1e-280 < _product < 1e280) and not (1e-280 < _abs(_product) < 1e280):",
+            "        raise _underflow(f'derivative product left the floating range at n={_k}'"
+            " f' (|P|={_abs(_product):.3e})')",
+            "    x = x + _step",
+        ]
+
+    # -tol < d < tol is abs(d) < tol without a call
+    stop = ["_prev, _value = _value, _step / _product", "if _k and -_tol < _value - _prev < _tol:",
+            "    return _value, _k"]
     return _codegen(
-        [("szekeres", lines, "None if step is None else step / last")],
-        ["x_max", "name", "increment", "deriv", "steps"],
-        [("abs", abs), ("outside", _outside), ("left_range", _product_left_range)],
+        [
+            ("szekeres", loop(["_last = _product"]), "None if _step is None else _step / _last"),
+            ("converge", loop(stop), "_value, _steps.stop"),
+        ],
+        [*params, "_x_max", "_name", "_deriv", "_steps", "_tol"],
+        [*namespace, ("_abs", abs), ("_outside", _outside), ("_underflow", ProductUnderflow)],
         filename="<germres szekeres>",
     )
 
@@ -925,7 +924,7 @@ def _orbit_values(germ: GermSpec, x0: float, ns: Sequence[int]):
         return {n: float(germ.orbit(x0, n)) for n in ns}
     ns = sorted(set(ns))
     if ns[-1] > MAX_ORBIT_STEPS:
-        raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {ns[-1]}")
+        raise DomainError(f"at most {MAX_ORBIT_STEPS} orbit steps, not {_shown(ns[-1])}")
     body = _body_of(germ.increment)
     orbit, = _orbit_kernel(*body[:4])(*body.values)
     x, comp = float(x0), 0.0
@@ -945,9 +944,9 @@ def _check_orbit_germ(germ: GermSpec, x0: float):
         raise DomainError(f"{germ.name}: estimator needs a contracting germ")
     germ.check_point(x0)
     if germ.ell < 1:
-        raise DomainError(f"flatness order ell must be at least 1, not {germ.ell}")
+        raise DomainError(f"flatness order ell must be at least 1, not {_shown(germ.ell)}")
     if not (_finite(germ.a) and germ.a > 0):
-        raise DomainError(f"leading magnitude a must be finite and positive, not {germ.a}")
+        raise DomainError(f"leading magnitude a must be finite and positive, not {_shown(germ.a)}")
 
 
 def estimate_resit(germ: GermSpec, x0: float, schedule: Sequence[int]) -> ResitEstimate:
@@ -1006,7 +1005,7 @@ def orbit_bound_check(germ: GermSpec, x0: float, n_max: int) -> OrbitBoundReport
     """Verify a ell n [f^n(x0)]^ell -> 1 and fit the bracketing constants."""
     _check_orbit_germ(germ, x0)
     if n_max < 1:
-        raise DomainError(f"n_max must be at least 1, not {n_max}")
+        raise DomainError(f"n_max must be at least 1, not {_shown(n_max)}")
     ell, a = germ.ell, germ.a
     checkpoints = []
     n = 1
@@ -1053,11 +1052,11 @@ def contour_residue(f: Callable[[complex], complex], radius: float, points: int 
     trapezoidal rule on equispaced points (spectrally accurate here), with
     the real and imaginary parts of the sum each rounded once (math.fsum)."""
     if not (_finite(radius) and radius > 0):
-        raise DomainError(f"radius must be finite and positive, not {radius}")
+        raise DomainError(f"radius must be finite and positive, not {_shown(radius)}")
     if points < 8:
         raise DomainError("need at least 8 sample points")
     if points > MAX_CONTOUR_POINTS:
-        raise DomainError(f"at most {MAX_CONTOUR_POINTS} sample points, not {points}")
+        raise DomainError(f"at most {MAX_CONTOUR_POINTS} sample points, not {_shown(points)}")
     small, terms = 1e-12 * radius, []
     try:
         for k in range(points):

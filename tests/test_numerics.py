@@ -109,12 +109,43 @@ HUGE = 10**400  # an int past the float range, which math.isfinite cannot take
         (lambda: estimate_resit(dataclasses.replace(moebius(), a=HUGE), 0.1, [10, 100]), "a must be finite"),
         (lambda: orbit_bound_check(dataclasses.replace(moebius(), a=HUGE), 0.1, 100), "a must be finite"),
         (lambda: contour_residue(lambda z: z - z * z, HUGE), "radius must be finite"),
+        # past 4300 digits str() of an int raises: the message names its bits
+        (lambda: flow_map(catalog_field("neg_x2"), 0.1, 10**5000), "time must be finite, not an int of 16610 bits"),
+        (lambda: szekeres_field(moebius(), 0.1, tol=10**5000), "tol must be finite, not an int of 16610 bits"),
+        (
+            lambda: estimate_resit(dataclasses.replace(moebius(), a=10**5000), 0.5, [10, 100]),
+            "a must be finite and positive, not an int of 16610 bits",
+        ),
+        (lambda: contour_residue(lambda z: z - z * z, -10**5000), "positive, not a negative int of 16610 bits"),
     ],
-    ids=["flow_map", "szekeres_field", "estimate_resit", "orbit_bound_check", "contour_residue"],
+    ids=[
+        "flow_map", "szekeres_field", "estimate_resit", "orbit_bound_check", "contour_residue",
+        "flow_map_5000_digits", "szekeres_field_5000_digits", "estimate_resit_5000_digits",
+        "contour_residue_5000_digits",
+    ],
 )
 def test_a_huge_int_is_refused_as_out_of_domain(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+def test_a_refused_count_past_4300_digits_is_named_by_its_bits():
+    big = 10**5000
+    cases = [
+        (lambda: szekeres_field(quadratic(), 0.1, n_max=big), "orbit steps, not an int of 16610 bits"),
+        (lambda: szekeres_field(quadratic(), 0.1, n_max=-big), "at least 0, not a negative int of 16610 bits"),
+        (lambda: szekeres_numeric_field(quadratic(), -big), "at least 1, not a negative int of 16610 bits"),
+        (lambda: estimate_resit(quadratic(), 0.1, [10, big]), "orbit steps, not an int of 16610 bits"),
+        (
+            lambda: estimate_resit(dataclasses.replace(quadratic(), ell=-big), 0.1, [10]),
+            "ell must be at least 1, not a negative int of 16610 bits",
+        ),
+        (lambda: orbit_bound_check(quadratic(), 0.1, -big), "at least 1, not a negative int of 16610 bits"),
+        (lambda: contour_residue(lambda z: z - z * z, 0.1, points=big), "sample points, not an int of 16610 bits"),
+    ]
+    for call, message in cases:
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 def test_tau_residual_contract():
@@ -804,6 +835,117 @@ def _check_underflow_message(df):
             reference_szekeres(bad, 0.5, n_max=100, tol=tol)
         assert str(ours.value) == str(ref.value)
         assert "n=9 " in str(ours.value)
+
+
+# -- the Szekeres loops with an inlined increment -------------------------------
+
+# an --expr germ with a log (so no series) and 18 operations: the increment's
+# locals t0..t34 meet the names of the Szekeres loop and of the integrand
+LONG_EXPR = "x - x^2 + x^3*log(x) + x^4/(1+x) - 2*x^5 + x^6*log(x+1)"
+
+
+def _jet_germ_ell2():
+    from germres.catalog import germ_from_jet
+
+    return germ_from_jet(Jet.of(1, 0, -2, 1), x_max=0.3)
+
+
+INLINED_GERMS = {
+    "jet_ell1": _jet_germ,
+    "jet_ell2": _jet_germ_ell2,
+    "expr_log": lambda: _expr_germ(LONG_EXPR),
+    "quadratic": quadratic,
+}
+
+
+def _calls_of(code, run):
+    """The number of Python frames of the code object ``code`` that run()
+    enters, counted by a profile hook."""
+    import sys
+
+    calls, previous = [0], sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls[0]
+
+
+@pytest.mark.parametrize("name", INLINED_GERMS)
+def test_szekeres_loops_with_an_inlined_increment_match_the_reference(name):
+    germ = INLINED_GERMS[name]()
+    assert hasattr(germ.increment, "_germres_body")
+    rng = random.Random(name)
+    for x in [rng.uniform(1e-3, germ.x_max) for _ in range(3)] + [germ.x_max]:
+        # at quadratic's x_max Df vanishes: both refuse the product
+        for n_max in (0, 1, 37, 500):
+            for tol in (0.0, -1.0, 1e-6, 1e-300):
+                args = (germ, x, n_max, tol)
+                assert _outcome(szekeres_field, *args) == _outcome(reference_szekeres, *args)
+        ours, ref = (_outcome(f, germ, x, 10**5, 1e-6) for f in (szekeres_field, reference_szekeres))
+        assert ours == ref and ("converged=True" in ours or x == germ.x_max)
+        for n in (1, 37, 500):
+            fixed = szekeres_numeric_field(germ, n).func
+            assert _outcome(fixed, x) == _outcome(lambda x: reference_szekeres(germ, x, n, 0.0).value, x)
+
+
+def test_szekeres_underflow_message_with_an_inlined_increment():
+    for df in (1e-30, -1e-30):
+        germ = dataclasses.replace(quadratic(), deriv=lambda x, df=df: df)
+        messages = []
+        for call in (
+            lambda: szekeres_field(germ, 0.3, n_max=100, tol=0.0),
+            lambda: szekeres_field(germ, 0.3, n_max=100, tol=1e-300),
+            lambda: szekeres_numeric_field(germ, 100).func(0.3),
+            lambda: reference_szekeres(germ, 0.3, n_max=100, tol=1e-300),
+        ):
+            with pytest.raises(ProductUnderflow) as raised:
+                call()
+            messages.append(str(raised.value))
+        assert len(set(messages)) == 1 and "n=9 " in messages[0], messages
+
+
+@pytest.mark.parametrize("name", INLINED_GERMS)
+def test_szekeres_loops_call_a_generated_increment_never_and_a_wrapper_every_step(name):
+    # inlined, the increment's own code never runs as a call, in the
+    # converging loop (tol > 0) as in the fixed-depth one; a counting
+    # wrapper, the benchmark's tracer, is called once per step in both
+    germ = INLINED_GERMS[name]()
+    code = germ.increment.__code__
+    assert _calls_of(code, lambda: germ.increment(0.1)) == 1
+    assert _calls_of(code, lambda: szekeres_field(germ, 0.1, 50, 1e-300)) == 0
+    assert _calls_of(code, lambda: szekeres_numeric_field(germ, 50).func(0.1)) == 0
+    increment, steps = counting(germ.increment)
+    wrapped = dataclasses.replace(germ, increment=increment)
+    assert szekeres_numeric_field(wrapped, 50).func(0.1) == szekeres_numeric_field(germ, 50).func(0.1)
+    assert steps == [50]
+    tight = szekeres_field(wrapped, 0.1, 50, 1e-300)
+    assert not tight.converged and steps == [100]
+    assert repr(tight) == repr(szekeres_field(germ, 0.1, 50, 1e-300))
+    steps[0] = 0
+    loose = szekeres_field(wrapped, 0.1, 10**5, 1e-6)
+    assert loose.converged and steps == [loose.iterations + 1]
+    assert repr(loose) == repr(szekeres_field(germ, 0.1, 10**5, 1e-6))
+
+
+def test_tau_on_the_szekeres_field_of_a_long_expr_germ_matches_the_first_forms():
+    # three levels inlined: the quadrature integrand holds the Szekeres
+    # kernel, which holds the formula's increment; the split, the loop and
+    # the increment as first written give the same floats
+    germ = _expr_germ(LONG_EXPR)
+    for n in (1, 10, 100):
+        X = szekeres_numeric_field(germ, n)
+        ref = with_reference_split(X, reference_szekeres_evaluator(germ, n))
+        for x0, x in ((0.1, 3e-2), (0.1, 1e-3), (1e-3, 0.1), (0.4, 1e-5)):
+            assert repr(tau(X, x0, x)) == repr(tau(ref, x0, x))
+        for code in (X.func.__code__, germ.increment.__code__):
+            assert _calls_of(code, lambda: tau(X, 0.1, 1e-3)) == 0
 
 
 # -- orbit estimator -----------------------------------------------------------
